@@ -18,7 +18,10 @@ visible, and granularity sensitivity in u is a first-class output.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +55,9 @@ class WalkParams:
     budget: float = 4e9
 
     def __post_init__(self) -> None:
+        for name in ("f", "rho", "epsilon", "u", "budget"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if not 0 < self.f <= 1:
             raise DomainError("f must lie in (0, 1]")
         if not self.rho > 0:
@@ -145,6 +151,16 @@ def _check_budget(params: WalkParams) -> None:
         )
 
 
+def _check_climb_range(params: WalkParams) -> None:
+    # climb counts are int64 and compared exactly with the climbs needed
+    # on the last line, which must therefore stay below 2**53
+    r_last = (1.0 + params.k_max * params.rho) / ((1.0 + params.epsilon) * params.f)
+    if not math.log(r_last) / math.log1p(params.u) < 2.0**53:
+        raise DomainError(
+            "the walk needs more than 2**53 micro-steps to reach the target; use a coarser u"
+        )
+
+
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # fixed-width chunks keyed by index keep results independent of how
     # many workers process them
@@ -167,144 +183,163 @@ def _trivial_estimate(params: WalkParams) -> BoundEstimate:
     )
 
 
-def _estimate_micro(params: WalkParams, capped_jump: bool) -> BoundEstimate:
+# partial sums of one chunk: score, score**2, p0, p0**2, dense successes
+# and the per-line contributions
+ChunkSums = tuple[float, float, float, float, float, np.ndarray]
+
+
+def _micro_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
+    """Walk ``m`` samples of the micro (or hybrid) process on one chunk.
+
+    The poor power is b = f * (1+u)**c for an integer climb count c, so
+    a / ((1+eps) b) = R_k * (1+u)**-c with the per-line scalar
+    R_k = a / ((1+eps) f), and the target is crossed once c reaches the
+    scalar N_k = ceil(log(R_k) / log1p(u)).  Per-sample arrays hold the
+    alive samples only, in sample order; they are compacted on lines
+    where some sample completes.
+    """
     one_eps = 1.0 + params.epsilon
     rho, u = params.rho, params.u
     log1u = math.log1p(u)
-    score_sum: list[float] = []
-    score_sq_sum: list[float] = []
-    p0_sum: list[float] = []
-    p0_sq_sum: list[float] = []
-    dense_sum: list[float] = []
+    capped = params.strategy == "hybrid"
+    rng = _chunk_rng(params.seed, chunk_index)
+    ids = np.arange(m)  # sample index of each alive sample
+    c = np.zeros(m, dtype=np.int64)
+    survive = np.ones(m)  # probability no jump fired so far
+    score = np.zeros(m)
+    final_score = np.zeros(m)
+    dense = np.zeros(m)
     per_k = np.zeros(params.k_max + 1)
-    n_total = params.samples
-    for chunk_index, start in enumerate(range(0, n_total, CHUNK_SIZE)):
-        m = min(CHUNK_SIZE, n_total - start)
-        rng = _chunk_rng(params.seed, chunk_index)
-        b = np.full(m, params.f)
-        survive_prob = np.ones(m)  # probability no jump fired so far
-        score = np.zeros(m)
-        p0_vals = np.zeros(m)
-        dense = np.zeros(m)
-        alive = np.ones(m, dtype=bool)
-        for k in range(params.k_max + 1):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            a = 1.0 + k * rho
-            bk = b[idx]
-            gap = a / (one_eps * bk) - 1.0
-            jump = rho / (rho + a * gap)
-            if capped_jump:
-                # jump only physically available within n_jump max-size wins
-                jump = np.where(a / one_eps - bk <= params.n_jump * rho, jump, 0.0)
-            contribution = survive_prob[idx] * jump
-            per_k[k] += float(contribution.sum())
-            score[idx] += contribution
-            if k == 0:
-                p0_vals[idx] += contribution
-            survive_prob[idx] *= 1.0 - jump
-            # climbs needed to cross the target while on this line
-            needed = np.ceil(np.log(a / (one_eps * bk)) / log1u)
-            q = rho / (rho + a * u)  # poor-win probability per micro-step
-            draws = rng.random(idx.size)
-            climbs = np.floor(np.log(draws) / math.log(q))
-            done = climbs >= needed
-            if done.any():
-                di = idx[done]
-                score[di] += survive_prob[di]  # total score becomes 1
-                dense[di] = survive_prob[di]
-                if k == 0:
-                    p0_vals[di] += survive_prob[di]
-                alive[di] = False
-            live = idx[~done]
-            b[live] = b[live] * np.exp(log1u * climbs[~done])
-        score_sum.append(float(score.sum()))
-        score_sq_sum.append(float((score**2).sum()))
-        p0_sum.append(float(p0_vals.sum()))
-        p0_sq_sum.append(float((p0_vals**2).sum()))
-        dense_sum.append(float(dense.sum()))
-    return _finalize(
-        params,
-        n_total,
-        math.fsum(score_sum),
-        math.fsum(score_sq_sum),
-        math.fsum(p0_sum),
-        math.fsum(p0_sq_sum),
-        math.fsum(dense_sum),
+    p0_sum = p0_sq_sum = 0.0
+    # work buffers, sliced to the alive count: every per-line op is in place
+    jump_buf, contribution_buf, climbs_buf = np.empty(m), np.empty(m), np.empty(m)
+    for k in range(params.k_max + 1):
+        n = c.size
+        if n == 0:
+            break
+        jump, contribution, climbs = jump_buf[:n], contribution_buf[:n], climbs_buf[:n]
+        a = 1.0 + k * rho
+        r_k = a / (one_eps * params.f)
+        n_k = math.ceil(math.log(r_k) / log1u)
+        # jump = rho / (rho + a * gap) with gap = R_k * (1+u)**-c - 1
+        np.multiply(c, -log1u, out=jump)
+        np.exp(jump, out=jump)
+        jump *= a * r_k
+        jump += rho - a
+        np.divide(rho, jump, out=jump)
+        if capped:
+            # jump only physically available within n_jump max-size wins,
+            # that is while b >= a/(1+eps) - n_jump*rho
+            floor_b = a / one_eps - params.n_jump * rho
+            if floor_b > params.f:
+                jump[c < math.ceil(math.log(floor_b / params.f) / log1u)] = 0.0
+        np.multiply(survive, jump, out=contribution)
+        per_k[k] = float(contribution.sum())
+        score += contribution
+        survive -= contribution
+        # climbs on this line: geometric in the poor-win probability
+        # q = rho / (rho + a*u) per micro-step, capped at the n_k needed
+        rng.random(out=climbs)
+        np.log(climbs, out=climbs)
+        climbs /= -math.log1p(a * u / rho)
+        np.floor(climbs, out=climbs)
+        np.minimum(climbs, n_k, out=climbs)
+        np.add(c, climbs, out=c, casting="unsafe")
+        done = c >= n_k
+        if k == 0:
+            p0 = contribution
+            p0[done] += survive[done]
+            p0_sum, p0_sq_sum = float(p0.sum()), float((p0**2).sum())
+        if done.any():
+            finished = ids[done]
+            final_score[finished] = score[done] + survive[done]  # total score 1
+            dense[finished] = survive[done]
+            keep = ~done
+            ids, c, survive, score = ids[keep], c[keep], survive[keep], score[keep]
+    final_score[ids] = score
+    return (
+        float(final_score.sum()),
+        float((final_score**2).sum()),
+        p0_sum,
+        p0_sq_sum,
+        float(dense.sum()),
         per_k,
     )
 
 
-def _estimate_max_step(params: WalkParams) -> BoundEstimate:
+def _max_step_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
     """Physical capped walk: both contenders gain at most rho per win and
     success means actually walking into the target zone."""
     one_eps = 1.0 + params.epsilon
     rho = params.rho
-    score_sum: list[float] = []
-    score_sq_sum: list[float] = []
-    p0_sum: list[float] = []
-    p0_sq_sum: list[float] = []
-    per_k = np.zeros(params.k_max + 1)
-    n_total = params.samples
     max_steps = params.k_max + int(math.ceil((1.0 + params.k_max * rho) / rho)) + 2
-    for chunk_index, start in enumerate(range(0, n_total, CHUNK_SIZE)):
-        m = min(CHUNK_SIZE, n_total - start)
-        rng = _chunk_rng(params.seed, chunk_index)
-        a = np.ones(m)
-        b = np.full(m, params.f)
-        k = np.zeros(m, dtype=np.int64)
-        score = np.zeros(m)
-        p0_vals = np.zeros(m)
-        alive = a / b > one_eps
-        if not alive.all():
-            score[~alive] = 1.0
-            p0_vals[~alive] = 1.0
-            per_k[0] += float((~alive).sum())
-        for _ in range(max_steps):
-            idx = np.nonzero(alive)[0]
-            if idx.size == 0:
-                break
-            q = b[idx] / (a[idx] + b[idx])
-            poor_wins = rng.random(idx.size) < q
-            b[idx[poor_wins]] += rho
-            rich = idx[~poor_wins]
-            a[rich] += rho
-            k[rich] += 1
-            reached = a[idx] / b[idx] <= one_eps
-            over = k[idx] > params.k_max
-            for sample in idx[reached & ~over]:
-                score[sample] = 1.0
-                per_k[k[sample]] += 1.0
-                if k[sample] == 0:
-                    p0_vals[sample] = 1.0
-            alive[idx[reached | over]] = False
-        score_sum.append(float(score.sum()))
-        score_sq_sum.append(float((score**2).sum()))
-        p0_sum.append(float(p0_vals.sum()))
-        p0_sq_sum.append(float((p0_vals**2).sum()))
-    return _finalize(
-        params,
-        n_total,
-        math.fsum(score_sum),
-        math.fsum(score_sq_sum),
-        math.fsum(p0_sum),
-        math.fsum(p0_sq_sum),
+    rng = _chunk_rng(params.seed, chunk_index)
+    a = np.ones(m)
+    b = np.full(m, params.f)
+    k = np.zeros(m, dtype=np.int64)
+    score = np.zeros(m)
+    p0 = np.zeros(m)
+    per_k = np.zeros(params.k_max + 1)
+    alive = np.ones(m, dtype=bool)  # estimate_g handles a start on target
+    for _ in range(max_steps):
+        idx = np.nonzero(alive)[0]
+        if idx.size == 0:
+            break
+        q = b[idx] / (a[idx] + b[idx])
+        poor_wins = rng.random(idx.size) < q
+        b[idx[poor_wins]] += rho
+        rich = idx[~poor_wins]
+        a[rich] += rho
+        k[rich] += 1
+        reached = a[idx] / b[idx] <= one_eps
+        over = k[idx] > params.k_max
+        hits = idx[reached & ~over]
+        score[hits] = 1.0
+        np.add.at(per_k, k[hits], 1.0)
+        p0[hits[k[hits] == 0]] = 1.0
+        alive[idx[reached | over]] = False
+    return (
+        float(score.sum()),
+        float((score**2).sum()),
+        float(p0.sum()),
+        float((p0**2).sum()),
         0.0,
         per_k,
     )
 
 
-def _finalize(
-    params: WalkParams,
-    n: int,
-    s: float,
-    s2: float,
-    p0s: float,
-    p0s2: float,
-    dense: float,
-    per_k: np.ndarray,
-) -> BoundEstimate:
+def _run_chunks(
+    chunk_fn: Callable[[WalkParams, int, int], ChunkSums], params: WalkParams
+) -> list[ChunkSums]:
+    """Partial sums of every chunk, in chunk-index order.
+
+    Chunks run on a process pool when there are several and more than one
+    usable CPU; each draws from its own (seed, chunk index) generator, so
+    the result does not depend on where or in which order chunks run.
+    """
+    sizes = [
+        min(CHUNK_SIZE, params.samples - start) for start in range(0, params.samples, CHUNK_SIZE)
+    ]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(sizes), cpus or 1)
+    if workers > 1:
+        # imported here: single-chunk calls never pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawned, not forked: numpy's BLAS has threads running already
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            return list(pool.map(chunk_fn, repeat(params), range(len(sizes)), sizes))
+    return [chunk_fn(params, i, m) for i, m in enumerate(sizes)]
+
+
+def _finalize(params: WalkParams, chunks: list[ChunkSums]) -> BoundEstimate:
+    n = params.samples
+    s, s2, p0s, p0s2, dense = (math.fsum(column) for column in list(zip(*chunks))[:5])
+    per_k = np.zeros(params.k_max + 1)
+    for chunk in chunks:
+        per_k += chunk[5]
     estimate = s / n
     variance = max(s2 / n - estimate**2, 0.0)
     std_error = math.sqrt(variance / n)
@@ -331,8 +366,11 @@ def estimate_g(params: WalkParams) -> BoundEstimate:
     if 1.0 / params.f <= 1.0 + params.epsilon:
         return _trivial_estimate(params)
     if params.strategy == "max-step":
-        return _estimate_max_step(params)
-    return _estimate_micro(params, capped_jump=params.strategy == "hybrid")
+        chunk_fn = _max_step_chunk
+    else:
+        _check_climb_range(params)
+        chunk_fn = _micro_chunk
+    return _finalize(params, _run_chunks(chunk_fn, params))
 
 
 def p0_fraction(params: WalkParams) -> tuple[float, float]:

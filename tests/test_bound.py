@@ -1,9 +1,12 @@
+import concurrent.futures
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from decentsim import bound
 from decentsim.bound import (
     WalkParams,
     WalkState,
@@ -186,7 +189,9 @@ class TestExactChainOracle:
     dynamic programming over (line, climbs-so-far)."""
 
     @staticmethod
-    def dp_expectation(f, rho, eps, u, k_max):
+    def dp_expectation(f, rho, eps, u, k_max, n_jump=None):
+        """Expectation and per-line contributions; with ``n_jump`` the
+        jump is capped as in the hybrid strategy."""
         one = 1.0 + eps
         log1u = math.log(1.0 + u)
 
@@ -202,7 +207,11 @@ class TestExactChainOracle:
         def jump(k, climbs):
             a, b = line_power(k), poor_b(climbs)
             gap = a / (one * b) - 1.0
-            return 1.0 if gap <= 0 else rho / (rho + a * gap)
+            if gap <= 0:
+                return 1.0
+            if n_jump is not None and a / one - b > n_jump * rho:
+                return 0.0  # not closable within n_jump max-size wins
+            return rho / (rho + a * gap)
 
         # arrival[c] = P(reach line k with c climbs, never dense-succeeded)
         #              * product of (1 - jump) over lines 0..k-1
@@ -234,6 +243,84 @@ class TestExactChainOracle:
         assert abs(result.estimate - exact) <= 4 * result.std_error
         for k in range(k_max + 1):
             assert result.per_k[k] == pytest.approx(exact_per_k[k], abs=5e-3)
+
+    def test_hybrid_matches_capped_exact_chain(self):
+        # with n_jump=2 the cap binds on lines 1-4 for the lowest climb
+        # counts that reach them, and not for the others
+        f, rho, eps, u, k_max = 0.3, 0.5, 0.0, 0.25, 4
+        exact, exact_per_k = self.dp_expectation(f, rho, eps, u, k_max, n_jump=2)
+        _, uncapped_per_k = self.dp_expectation(f, rho, eps, u, k_max)
+        assert max(abs(x - y) for x, y in zip(exact_per_k, uncapped_per_k)) > 0.05
+        assert any(x > 0.01 for x in exact_per_k[1:])
+        result = estimate_g(
+            params(f=f, rho=rho, epsilon=eps, u=u, k_max=k_max, samples=1_000_000,
+                   strategy="hybrid", n_jump=2)
+        )
+        assert abs(result.estimate - exact) <= 4 * result.std_error
+        for k in range(k_max + 1):
+            assert result.per_k[k] == pytest.approx(exact_per_k[k], abs=5e-3)
+
+    @staticmethod
+    def max_step_dp(f, rho, eps, k_max):
+        """Per-line success mass of the max-step walk, exactly, on the
+        lattice of rich wins i and poor wins j."""
+        per_k = [0.0] * (k_max + 1)
+        mass = {(0, 0): 1.0}
+        while mass:
+            nxt: dict[tuple[int, int], float] = {}
+            for (i, j), w in mass.items():
+                q = (f + j * rho) / (1.0 + i * rho + f + j * rho)
+                for (i2, j2), p in (((i, j + 1), q), ((i + 1, j), 1.0 - q)):
+                    if i2 > k_max:
+                        continue
+                    if (1.0 + i2 * rho) / (f + j2 * rho) <= 1.0 + eps:
+                        per_k[i2] += w * p
+                    else:
+                        nxt[(i2, j2)] = nxt.get((i2, j2), 0.0) + w * p
+            mass = nxt
+        return per_k
+
+    def test_max_step_matches_exact_lattice(self):
+        # no lattice point sits on the target ratio, so the float rounding
+        # of b (summed in the kernel, multiplied here) decides no success
+        f, rho, eps, k_max = 0.45, 0.1, 0.05, 20
+        exact_per_k = self.max_step_dp(f, rho, eps, k_max)
+        result = estimate_g(
+            params(f=f, rho=rho, epsilon=eps, k_max=k_max, samples=200_000, strategy="max-step")
+        )
+        assert abs(result.estimate - math.fsum(exact_per_k)) <= 4 * result.std_error
+        assert result.p0 == pytest.approx(exact_per_k[0], abs=5e-3)
+        for k in range(k_max + 1):
+            assert result.per_k[k] == pytest.approx(exact_per_k[k], abs=5e-3)
+
+
+class TestChunkPool:
+    """Chunks run on a process pool give exactly the inline result."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(), dict(f=0.5, rho=0.5), dict(f=0.5, epsilon=0.0, strategy="max-step")],
+        ids=["micro", "micro-dense", "max-step"],
+    )
+    def test_pool_matches_inline_chunks(self, kw, monkeypatch):
+        monkeypatch.setattr(bound, "CHUNK_SIZE", 7_000)
+        monkeypatch.setattr(bound.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        pools = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def __init__(self, workers, **kw):
+                pools.append(workers)
+                super().__init__(workers, **kw)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        p = params(samples=20_000, **kw)
+        pooled = estimate_g(p)
+        assert pools == [3]  # 3 chunks of at most 7000 samples
+        chunk_fn = bound._max_step_chunk if p.strategy == "max-step" else bound._micro_chunk
+        inline = bound._finalize(
+            p, [chunk_fn(p, i, m) for i, m in enumerate((7_000, 7_000, 6_000))]
+        )
+        assert pooled == inline
 
 
 class TestSweep:
@@ -293,9 +380,23 @@ class TestParamValidation:
             dict(samples=0),
             dict(seed=-1),
             dict(strategy="warp"),
+            dict(f=math.nan),
+            dict(rho=math.inf),
+            dict(rho=math.nan),
+            dict(epsilon=math.nan),
+            dict(epsilon=math.inf),
+            dict(u=math.inf),
+            dict(u=math.nan),
+            dict(budget=math.nan),
+            dict(budget=math.inf),
         ):
             with pytest.raises(DomainError):
                 params(**bad)
+
+    def test_rejects_steps_too_fine_to_count(self):
+        # about 9e300 climbs from f=1e-4 to the target
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            estimate_g(params(u=1e-300))
 
     def test_walk_state_invariants(self):
         with pytest.raises(DomainError):

@@ -107,6 +107,15 @@ class TestBoundCommand:
         ])
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "flag, value", [("u", "inf"), ("epsilon", "nan"), ("rho", "inf"), ("budget", "nan")]
+    )
+    def test_non_finite_parameter_exit_code(self, flag, value, capsys):
+        code = main(["bound", "--f", "1e-4", "--rho", "0.1", "--samples", "1000",
+                     f"--{flag}", value])
+        assert code == 3
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, capsys):
         code = main(["bound", "--rho", "0.1"])
         assert code == 2

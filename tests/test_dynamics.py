@@ -118,12 +118,19 @@ class TestSimulate:
         assert np.all(traj.ratios >= 1.0)
 
     def test_total_power_non_decreasing(self):
-        config = gamma_config(horizon=100, seeds=(2,))
-        traj = simulate(config)[0]
-        # reconstruct totals from the recorded winners
+        config = gamma_config(horizon=100, seeds=(2, 5))
+        totals = []
+
+        class Totals:
+            def record(self, t, state, winners):
+                totals.append(state.sum(axis=1))
+
+        dynamics.run_seeds(config, [Totals()])
+        added = np.diff(np.stack(totals), axis=0)
+        assert added.shape == (100, 2)
+        assert np.all(added >= 0)
         gain = config.reward.r * min(config.model.b_r, config.reward.r_max)
-        wins = np.cumsum(traj.winners[1:] >= 0)
-        assert np.all(np.diff(wins * gain) >= 0)
+        assert added == pytest.approx(np.full(added.shape, gain))
 
     def test_martingale_mean_fraction_at_exponent_one(self):
         # with proportional weights each fraction keeps its initial mean
