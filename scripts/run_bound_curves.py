@@ -8,12 +8,12 @@ percentile player.
 """
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
 
 from decentsim.bound import WalkParams, sweep
+from decentsim.cli import _write_sweep_csv
 
 
 def main() -> None:
@@ -36,14 +36,7 @@ def main() -> None:
         params = WalkParams(f=f_values[0], rho=rho, samples=args.samples, seed=args.seed)
         rows = sweep(f_values, eps_values, [rho], params)
         out = Path(f"{args.out_prefix}_rho{rho:g}.csv")
-        with out.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["f", "epsilon", "rho", "estimate", "ci_low", "ci_high"])
-            for row in rows:
-                writer.writerow(
-                    [repr(row.f), repr(row.epsilon), repr(row.rho),
-                     repr(row.estimate), repr(row.ci_low), repr(row.ci_high)]
-                )
+        _write_sweep_csv(out, rows)
         print(f"wrote {out} ({len(rows)} rows)")
 
 

@@ -32,10 +32,12 @@ from .dynamics import (
     PowerLawInit,
     SimConfig,
     TwoPointInit,
-    Trajectory,
-    ed_verdict,
-    monotonicity_stats,
-    simulate,
+    _ExtremalFractionsRecorder,
+    _FinalWindowRecorder,
+    _fractions,
+    _nearest_rank_index,
+    _power_ratios,
+    run_seeds,
 )
 from .errors import (
     BudgetError,
@@ -105,17 +107,51 @@ def _build_init(cfg: RunConfig):
     )
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["step", "ratio"] + [f"beta_{i + 1}" for i in range(traj.n_nodes)]
+# steps of every seed buffered between appends to the trajectory CSVs
+CSV_BLOCK = 1024
+
+
+class _TrajectoryCsvWriter:
+    """Streams each seed's per-step power ratio and fractions to
+    ``trajectory_<seed>.csv``, CSV_BLOCK steps at a time, with the bytes
+    ``csv.writer`` gives for rows of ``repr`` floats."""
+
+    def __init__(self, out_dir: Path, sim: SimConfig, rank: int) -> None:
+        self.out_dir = out_dir
+        # a seed listed twice gets one file
+        self.paths = {
+            out_dir / f"trajectory_{seed}.csv": row for row, seed in enumerate(sim.seeds)
+        }
+        self.horizon = sim.horizon
+        self.rank = rank
+        self.block = np.empty(
+            (len(sim.seeds), min(CSV_BLOCK, sim.horizon + 1), sim.n_nodes + 1)
         )
-        for t in range(traj.horizon + 1):
-            writer.writerow(
-                [t, repr(float(traj.ratios[t]))]
-                + [repr(float(b)) for b in traj.betas[t]]
+        self.start = 0
+        self.header = ",".join(
+            ["step", "ratio"] + [f"beta_{i + 1}" for i in range(sim.n_nodes)]
+        ) + "\r\n"
+
+    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
+        i = t - self.start
+        self.block[:, i, 0] = _power_ratios(state, self.rank)
+        self.block[:, i, 1:] = _fractions(state)
+        if i + 1 == self.block.shape[1] or t == self.horizon:
+            self._append(t + 1)
+
+    def _append(self, stop: int) -> None:
+        first = self.start == 0
+        if first:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        steps = range(self.start, stop)
+        for path, row in self.paths.items():
+            values = self.block[row, : stop - self.start].tolist()
+            text = "".join(
+                f"{step},{','.join(map(repr, line))}\r\n" for step, line in zip(steps, values)
             )
+            with path.open("w" if first else "a", newline="", encoding="utf-8") as handle:
+                handle.write(self.header + text if first else text)
+        self.start = stop
 
 
 def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
@@ -130,35 +166,35 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
         delta=cfg["delta"],
         window=cfg["window"] or None,
     )
-    trajectories = simulate(sim)
-    window = sim.effective_window() if sim.horizon else 1
+    rank = _nearest_rank_index(sim.n_nodes, sim.delta)
+    tail = _FinalWindowRecorder(sim) if sim.horizon else None
+    extremal = (
+        _ExtremalFractionsRecorder(len(sim.seeds), sim.horizon)
+        if len(sim.seeds) >= 30 else None
+    )
+    out_dir = _resolve_path(cfg["trajectories_dir"]) if cfg["trajectories_dir"] else None
+    csv_writer = _TrajectoryCsvWriter(out_dir, sim, rank) if out_dir is not None else None
+    state = run_seeds(sim, [r for r in (tail, extremal, csv_writer) if r is not None])
     results: dict[str, Any] = {
         "horizon": sim.horizon,
-        "n_seeds": len(trajectories),
+        "n_seeds": len(sim.seeds),
         "per_seed": [
-            {
-                "seed": traj.seed,
-                "final_ratio": float(traj.ratios[-1]),
-                "final_betas": [float(b) for b in traj.betas[-1]],
-            }
-            for traj in trajectories
+            {"seed": seed, "final_ratio": ratio, "final_betas": betas}
+            for seed, ratio, betas in zip(
+                sim.seeds, _power_ratios(state, rank).tolist(), _fractions(state).tolist()
+            )
         ],
     }
-    if sim.horizon:
-        verdict = ed_verdict(trajectories, cfg["epsilon"], cfg["delta"], window)
+    if tail is not None:
+        verdict = tail.verdict()
         results["ed"] = {
             "converged_fraction": verdict.converged_fraction,
             "mean_final_ratio": verdict.mean_final_ratio,
-            "window": window,
+            "window": tail.window,
         }
-    if len(trajectories) >= 30:
-        stats = monotonicity_stats(trajectories)
-        results["monotonicity"] = dataclasses.asdict(stats)
-    if cfg["trajectories_dir"]:
-        out_dir = _resolve_path(cfg["trajectories_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for traj in trajectories:
-            _write_trajectory_csv(out_dir / f"trajectory_{traj.seed}.csv", traj)
+    if extremal is not None:
+        results["monotonicity"] = dataclasses.asdict(extremal.stats())
+    if out_dir is not None:
         results["trajectories_dir"] = str(out_dir)
     return results
 
@@ -211,18 +247,7 @@ def _write_sweep_csv(path: Path, rows: list[SweepRow]) -> None:
 
 
 def _run_sweep(cfg: RunConfig) -> dict[str, Any]:
-    base = WalkParams(
-        f=cfg["f_grid"][0],
-        rho=cfg["rho_grid"][0],
-        epsilon=cfg["epsilon_grid"][0],
-        u=cfg["u"],
-        k_max=cfg["k_max"],
-        samples=cfg["samples"],
-        seed=cfg["seed"],
-        strategy=cfg["strategy"],
-        n_jump=cfg["n_jump"],
-        budget=cfg["budget"],
-    )
+    base = _walk_params(cfg, cfg["f_grid"][0], cfg["rho_grid"][0], cfg["epsilon_grid"][0])
     rows = sweep(list(cfg["f_grid"]), list(cfg["epsilon_grid"]), list(cfg["rho_grid"]), base)
     results: dict[str, Any] = {"rows": [dataclasses.asdict(row) for row in rows]}
     if cfg["csv_out"]:

@@ -26,7 +26,11 @@ class PowerVector:
     def __post_init__(self) -> None:
         if len(self.powers) < 1:
             raise DomainError("power vector must contain at least one node")
-        if any(not (p > 0) for p in self.powers):
+        # one pass in the common case: the merge and split searches build
+        # a vector per allocation
+        if any(not (0 < p < math.inf) for p in self.powers):
+            if not all(math.isfinite(p) for p in self.powers):
+                raise DomainError("powers must be finite")
             raise DomainError("every resource power must be strictly positive")
         object.__setattr__(self, "powers", tuple(float(p) for p in self.powers))
 
@@ -54,20 +58,13 @@ class PlayerMap:
         return tuple(dict.fromkeys(self.owners))
 
 
-class PercentileRule(Enum):
-    """Percentile convention used by the decentralization predicate."""
-
-    NEAREST_RANK = "nearest-rank"
-
-
 @dataclass(frozen=True)
 class DecentralizationSpec:
-    """Target triple (m, epsilon, delta) plus the percentile convention."""
+    """Target triple (m, epsilon, delta); the percentile is nearest-rank."""
 
     m: int
     epsilon: float
     delta: float
-    percentile_rule: PercentileRule = PercentileRule.NEAREST_RANK
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -86,6 +83,9 @@ class RewardParams:
     r_max: float
 
     def __post_init__(self) -> None:
+        for name in ("r", "r_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.r < 0:
             raise DomainError("reinvestment rate r must be >= 0")
         if not self.r_max > 0:

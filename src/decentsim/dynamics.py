@@ -34,12 +34,20 @@ from .incentives import (
 class ExplicitInit:
     powers: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(p) for p in self.powers):
+            raise DomainError("powers must be finite")
+
 
 @dataclass(frozen=True)
 class PowerLawInit:
     """Deterministic power-law profile: node i gets (i+1) ** -exponent."""
 
     exponent: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.exponent):
+            raise DomainError("exponent must be finite")
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,9 @@ class SimConfig:
             raise UnsupportedModelError(
                 f"{type(self.model).__name__} has no block lottery to simulate"
             )
+        for name in ("epsilon", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.epsilon < 0 or not 0 <= self.delta <= 100:
             raise DomainError("epsilon must be >= 0 and delta in [0, 100]")
 
@@ -255,6 +266,11 @@ def _fractions(state: np.ndarray) -> np.ndarray:
     return state / state.sum(axis=1)[:, None]
 
 
+def _power_ratios(state: np.ndarray, rank: int) -> np.ndarray:
+    """Max/percentile ratio of each row of powers."""
+    return state.max(axis=1) / np.sort(state, axis=1)[:, rank]
+
+
 class _TrajectoryRecorder:
     """Keeps every step: fractions, power ratio and winner."""
 
@@ -266,8 +282,7 @@ class _TrajectoryRecorder:
 
     def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
         self.betas[:, t, :] = _fractions(state)
-        low = np.sort(state, axis=1)[:, self.rank]
-        self.ratios[:, t] = state.max(axis=1) / low
+        self.ratios[:, t] = _power_ratios(state, self.rank)
         if winners is not None:
             self.winners[:, t] = winners
 
@@ -324,20 +339,29 @@ def ed_verdict(
 
 
 class _FinalWindowRecorder:
-    """Tracks, per seed, whether the fraction ratio stays at or below the
-    limit through the last ``window`` steps, and the last ratio seen."""
+    """Tracks, per seed, whether the fraction ratio stays at or below
+    1 + epsilon through the config's effective window, and the last ratio
+    seen; ``verdict`` equals ``ed_verdict`` on the full trajectories."""
 
-    def __init__(self, n_seeds: int, horizon: int, window: int, limit: float, rank: int):
-        self.first = horizon - window + 1
-        self.limit = limit
-        self.rank = rank
-        self.within = np.ones(n_seeds, dtype=bool)
-        self.last = np.empty(n_seeds)
+    def __init__(self, config: SimConfig) -> None:
+        self.window = config.effective_window()
+        _check_window(self.window, config.horizon)
+        self.first = config.horizon - self.window + 1
+        self.limit = 1.0 + config.epsilon
+        self.rank = _nearest_rank_index(config.n_nodes, config.delta)
+        self.within = np.ones(len(config.seeds), dtype=bool)
+        self.last = np.empty(len(config.seeds))
 
     def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
         if t >= self.first:
             self.last = _fraction_ratios(_fractions(state), self.rank)
             self.within &= self.last <= self.limit
+
+    def verdict(self) -> EdVerdict:
+        return EdVerdict(
+            converged_fraction=int(self.within.sum()) / len(self.within),
+            mean_final_ratio=float(np.mean(self.last)),
+        )
 
 
 @dataclass(frozen=True)
@@ -359,21 +383,13 @@ def summarize(config: SimConfig, recorders: Sequence[Recorder] = ()) -> RunSumma
     """Run the config and keep only the final state and the ED verdict over
     its effective window; memory does not grow with the horizon.  Extra
     recorders observe the same run."""
-    window = config.effective_window()
-    _check_window(window, config.horizon)
-    rank = _nearest_rank_index(config.n_nodes, config.delta)
-    tail = _FinalWindowRecorder(
-        len(config.seeds), config.horizon, window, 1.0 + config.epsilon, rank
-    )
+    tail = _FinalWindowRecorder(config)
     state = run_seeds(config, [tail, *recorders])
     return RunSummary(
         seeds=config.seeds,
         final_betas=_fractions(state),
         final_ratios=tail.last,
-        verdict=EdVerdict(
-            converged_fraction=int(tail.within.sum()) / len(config.seeds),
-            mean_final_ratio=float(np.mean(tail.last)),
-        ),
+        verdict=tail.verdict(),
     )
 
 
@@ -402,6 +418,20 @@ def _per_seed_slopes(series: np.ndarray) -> np.ndarray:
     return (series - series.mean(axis=1, keepdims=True)) @ centered / denom
 
 
+def _slope_stats(mins: np.ndarray, maxs: np.ndarray) -> MonotonicityStats:
+    """Mean per-seed slope and its standard error across seeds, from the
+    (seeds, steps) C-contiguous fraction series of the tracked nodes."""
+    n = mins.shape[0]
+    slope_min = _per_seed_slopes(mins)
+    slope_max = _per_seed_slopes(maxs)
+    return MonotonicityStats(
+        slope_min=float(slope_min.mean()),
+        se_min=float(slope_min.std(ddof=1) / math.sqrt(n)),
+        slope_max=float(slope_max.mean()),
+        se_max=float(slope_max.std(ddof=1) / math.sqrt(n)),
+    )
+
+
 def monotonicity_stats(trajectories: list[Trajectory]) -> MonotonicityStats:
     if len(trajectories) < 30:
         raise DomainError("at least 30 seeds are required for slope statistics")
@@ -411,12 +441,27 @@ def monotonicity_stats(trajectories: list[Trajectory]) -> MonotonicityStats:
     maxs = np.stack(
         [t.betas[:, int(np.argmax(t.betas[0]))] for t in trajectories]
     )
-    slope_min = _per_seed_slopes(mins)
-    slope_max = _per_seed_slopes(maxs)
-    n = len(trajectories)
-    return MonotonicityStats(
-        slope_min=float(slope_min.mean()),
-        se_min=float(slope_min.std(ddof=1) / math.sqrt(n)),
-        slope_max=float(slope_max.mean()),
-        se_max=float(slope_max.std(ddof=1) / math.sqrt(n)),
-    )
+    return _slope_stats(mins, maxs)
+
+
+class _ExtremalFractionsRecorder:
+    """Keeps, per seed and step, the fractions of the nodes with the
+    smallest and the largest initial fraction, for ``_slope_stats``."""
+
+    def __init__(self, n_seeds: int, horizon: int) -> None:
+        self.mins = np.empty((n_seeds, horizon + 1))
+        self.maxs = np.empty((n_seeds, horizon + 1))
+
+    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
+        if t == 0:
+            # every seed starts from the same state
+            initial = _fractions(state)[0]
+            self.col_min = int(np.argmin(initial))
+            self.col_max = int(np.argmax(initial))
+        # the division _fractions does, for two columns only
+        totals = state.sum(axis=1)
+        np.divide(state[:, self.col_min], totals, out=self.mins[:, t])
+        np.divide(state[:, self.col_max], totals, out=self.maxs[:, t])
+
+    def stats(self) -> MonotonicityStats:
+        return _slope_stats(self.mins, self.maxs)

@@ -106,6 +106,8 @@ LOTTERY_MODELS = (PoW, PoS, GammaReward)
 
 def _check_nonneg(**params: float) -> None:
     for name, value in params.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite")
         if value < 0:
             raise DomainError(f"{name} must be >= 0, got {value}")
 

@@ -1,10 +1,16 @@
 import csv
+import dataclasses
+import io
 import json
+import tracemalloc
 
 import pytest
 
+from decentsim import cli, dynamics
 from decentsim.cli import main, results_payload_bytes, run
 from decentsim.config import parse_config
+from decentsim.core import RewardParams
+from decentsim.dynamics import SimConfig, ed_verdict, monotonicity_stats, simulate
 
 
 @pytest.fixture()
@@ -147,6 +153,150 @@ class TestSimulateCommand:
         results = read_report(out)["results"]
         assert results["n_seeds"] == 2
         assert "converged_fraction" in results["ed"]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["simulate", "--r", "inf"], "r"),
+            (["simulate", "--init", "explicit", "--init_powers", "inf,1"], "powers"),
+            (["simulate", "--gamma", "nan"], "gamma"),
+            (["simulate", "--init_exponent", "nan"], "exponent"),
+            (["simulate", "--epsilon", "nan"], "epsilon"),
+            (["simulate", "--model", "pow", "--br", "inf"], "b_r"),
+            (["check", "--powers", "inf,1"], "powers"),
+            (["check", "--gamma", "nan"], "gamma"),
+        ],
+    )
+    def test_non_finite_input_exit_code(self, argv, field, capsys):
+        defaults = {
+            "simulate": ["--model", "gamma", "--br", "3", "--r_max", "3", "--horizon", "5",
+                         "--n_nodes", "2", "--init", "power-law"],
+            "check": ["--model", "gamma", "--br", "3", "--powers", "1,1", "--m", "2"],
+        }[argv[0]]
+        code = main(argv[:1] + defaults + argv[1:])
+        assert code == 3
+        assert f"DomainError: {field} must be finite" in capsys.readouterr().err
+
+
+def reference_simulate(cfg):
+    """The results and trajectory CSV bytes of a simulate config, computed
+    from the full trajectories of ``simulate`` with ``ed_verdict``,
+    ``monotonicity_stats`` and ``csv.writer``: the oracle of the streamed
+    ``_run_simulate``."""
+    sim = SimConfig(
+        model=cli.build_incentive_model(cfg),
+        reward=RewardParams(r=cfg["r"], r_max=cfg["r_max"]),
+        horizon=cfg["horizon"],
+        n_nodes=cfg["n_nodes"],
+        init=cli._build_init(cfg),
+        seeds=cfg["seeds"],
+        epsilon=cfg["epsilon"],
+        delta=cfg["delta"],
+        window=cfg["window"] or None,
+    )
+    trajectories = simulate(sim)
+    window = sim.effective_window() if sim.horizon else 1
+    results = {
+        "horizon": sim.horizon,
+        "n_seeds": len(trajectories),
+        "per_seed": [
+            {
+                "seed": traj.seed,
+                "final_ratio": float(traj.ratios[-1]),
+                "final_betas": [float(b) for b in traj.betas[-1]],
+            }
+            for traj in trajectories
+        ],
+    }
+    if sim.horizon:
+        verdict = ed_verdict(trajectories, cfg["epsilon"], cfg["delta"], window)
+        results["ed"] = {
+            "converged_fraction": verdict.converged_fraction,
+            "mean_final_ratio": verdict.mean_final_ratio,
+            "window": window,
+        }
+    if len(trajectories) >= 30:
+        results["monotonicity"] = dataclasses.asdict(monotonicity_stats(trajectories))
+    files = {}
+    for traj in trajectories:
+        handle = io.StringIO(newline="")
+        writer = csv.writer(handle)
+        writer.writerow(["step", "ratio"] + [f"beta_{i + 1}" for i in range(traj.n_nodes)])
+        for t in range(traj.horizon + 1):
+            writer.writerow(
+                [t, repr(float(traj.ratios[t]))] + [repr(float(b)) for b in traj.betas[t]]
+            )
+        files[f"trajectory_{traj.seed}.csv"] = handle.getvalue().encode("utf-8")
+    return results, files
+
+
+GAMMA5 = {
+    "model": "gamma", "br": 1.5, "gamma": 0.5, "r": 1.0, "r_max": 1.5, "n_nodes": 5,
+    "init": "explicit", "init_powers": [5.0, 1.0, 2.0, 1.5, 3.0],
+}
+
+
+class TestStreamedSimulate:
+    """The streamed CLI report against ``reference_simulate``."""
+
+    CASES = {
+        "slope-statistics": dict(GAMMA5, horizon=300, seeds=list(range(35))),
+        "horizon-zero": dict(GAMMA5, horizon=0, seeds=list(range(31)), window=5),
+        "window-is-horizon": dict(GAMMA5, horizon=50, seeds=[0, 1, 2, 3], window=50, epsilon=1.0),
+        "delta-50": dict(GAMMA5, horizon=400, seeds=list(range(12)), delta=50.0, epsilon=0.8),
+        "stake-lottery": {
+            "model": "pos", "br": 1.0, "c": 0.2, "sb": 0.5, "r": 1.0, "r_max": 1.0,
+            "n_nodes": 2, "init": "explicit", "init_powers": [4.0, 1.0], "horizon": 90,
+            "seeds": [2, 6, 11], "epsilon": 3.0,
+        },
+        # the last CSV block is partial; a seed listed twice has one file
+        "work-lottery-csv": {
+            "model": "pow", "br": 2.0, "c1": 0.1, "c2": 0.2, "r": 0.5, "r_max": 2.0,
+            "n_nodes": 3, "init": "explicit", "init_powers": [3.0, 1.0, 2.0],
+            "horizon": 2 * cli.CSV_BLOCK + 37, "seeds": [8, 9, 8], "delta": 40.0,
+            "trajectories_dir": "trajs",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_trajectory_report(self, case, tmp_path, monkeypatch):
+        monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
+        cfg = parse_config("simulate", overrides=self.CASES[case])
+        expected, files = reference_simulate(cfg)
+        results = run(cfg)["results"]
+        if cfg["trajectories_dir"]:
+            out_dir = tmp_path / cfg["trajectories_dir"]
+            assert results.pop("trajectories_dir") == str(out_dir)
+            written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            assert written == files
+        assert json.dumps(results, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("with_csv", [False, True])
+    def test_peak_memory_flat_in_horizon(self, with_csv, tmp_path, monkeypatch):
+        monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
+        seeds = list(range(2 if with_csv else 8))
+
+        def peak_bytes(horizon):
+            cfg = parse_config("simulate", overrides={
+                "model": "gamma", "br": 1.0, "r_max": 1.0, "n_nodes": 2,
+                "init": "explicit", "init_powers": [2.0, 1.0], "horizon": horizon,
+                "seeds": seeds, "trajectories_dir": "trajs" if with_csv else "",
+            })
+            tracemalloc.start()
+            try:
+                run(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(10)  # one-time allocations of the first run
+        short = peak_bytes(2 * dynamics.DRAW_BLOCK)
+        long = peak_bytes(6 * dynamics.DRAW_BLOCK)
+        # keeping one value per seed and step would add
+        # 4 * DRAW_BLOCK * len(seeds) * 8 bytes to the longer run's peak
+        assert long - short < dynamics.DRAW_BLOCK * len(seeds) * 8
 
 
 class TestOutputDirEnv:
