@@ -1,18 +1,20 @@
-"""Monte Carlo estimator for the catch-up probability upper bound.
+"""The catch-up probability upper bound, exactly or by Monte Carlo.
 
 Two nodes race: a rich one that gains the capped reinvestment amount rho
 per win and a poor one that starts at fraction f of the rich power.  The
 poor node catches up if the power ratio ever reaches 1 + epsilon.  A
 closed form gives the chance of closing the whole remaining gap in a
 single poor win ("jump"); between jumps the poor node climbs in relative
-micro-steps of size u.  Each sampled trajectory walks the micro-step
-process and accumulates the union probability of the jump events observed
-at every rich-gain arrival, which estimates the bound G(f, rho) for the
-target epsilon.
+micro-steps of size u.  The bound G(f, rho) for the target epsilon is the
+expected union probability of the jump events seen at every rich-gain
+arrival along that micro-step walk.
 
-The estimator is exact about its own truncation: contributions are
-reported per rich-gain count k so the discarded tail beyond k_max is
-visible, and granularity sensitivity in u is a first-class output.
+``exact_g`` computes that expectation for the micro and hybrid walks by
+dynamic programming; ``estimate_g`` samples them, and the physical
+max-step walk, by Monte Carlo, as the reference for the exact path and
+the only path for max-step.  ``compute_g`` picks the path from the
+strategy.  Both report contributions per rich-gain count k, so the
+discarded tail beyond k_max is visible.
 """
 
 from __future__ import annotations
@@ -188,6 +190,33 @@ def _trivial_estimate(params: WalkParams) -> BoundEstimate:
 ChunkSums = tuple[float, float, float, float, float, np.ndarray]
 
 
+def _climbs_needed(params: WalkParams, a: float) -> int:
+    """N_k: climbs that take the poor power to the target on line a."""
+    r_k = a / ((1.0 + params.epsilon) * params.f)
+    return math.ceil(math.log(r_k) / math.log1p(params.u))
+
+
+def _line_jump(params: WalkParams, a: float, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Jump probabilities at climb counts ``c`` on the line with rich
+    power a, written to ``out``: rho / (rho + a * gap) with
+    gap = R_k * (1+u)**-c - 1."""
+    one_eps = 1.0 + params.epsilon
+    rho, log1u = params.rho, math.log1p(params.u)
+    r_k = a / (one_eps * params.f)
+    np.multiply(c, -log1u, out=out)
+    np.exp(out, out=out)
+    out *= a * r_k
+    out += rho - a
+    np.divide(rho, out, out=out)
+    if params.strategy == "hybrid":
+        # jump only physically available within n_jump max-size wins,
+        # that is while b >= a/(1+eps) - n_jump*rho
+        floor_b = a / one_eps - params.n_jump * rho
+        if floor_b > params.f:
+            out[c < math.ceil(math.log(floor_b / params.f) / log1u)] = 0.0
+    return out
+
+
 def _micro_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
     """Walk ``m`` samples of the micro (or hybrid) process on one chunk.
 
@@ -198,10 +227,7 @@ def _micro_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
     alive samples only, in sample order; they are compacted on lines
     where some sample completes.
     """
-    one_eps = 1.0 + params.epsilon
     rho, u = params.rho, params.u
-    log1u = math.log1p(u)
-    capped = params.strategy == "hybrid"
     rng = _chunk_rng(params.seed, chunk_index)
     ids = np.arange(m)  # sample index of each alive sample
     c = np.zeros(m, dtype=np.int64)
@@ -219,20 +245,8 @@ def _micro_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
             break
         jump, contribution, climbs = jump_buf[:n], contribution_buf[:n], climbs_buf[:n]
         a = 1.0 + k * rho
-        r_k = a / (one_eps * params.f)
-        n_k = math.ceil(math.log(r_k) / log1u)
-        # jump = rho / (rho + a * gap) with gap = R_k * (1+u)**-c - 1
-        np.multiply(c, -log1u, out=jump)
-        np.exp(jump, out=jump)
-        jump *= a * r_k
-        jump += rho - a
-        np.divide(rho, jump, out=jump)
-        if capped:
-            # jump only physically available within n_jump max-size wins,
-            # that is while b >= a/(1+eps) - n_jump*rho
-            floor_b = a / one_eps - params.n_jump * rho
-            if floor_b > params.f:
-                jump[c < math.ceil(math.log(floor_b / params.f) / log1u)] = 0.0
+        n_k = _climbs_needed(params, a)
+        _line_jump(params, a, c, out=jump)
         np.multiply(survive, jump, out=contribution)
         per_k[k] = float(contribution.sum())
         score += contribution
@@ -373,11 +387,71 @@ def estimate_g(params: WalkParams) -> BoundEstimate:
     return _finalize(params, _run_chunks(chunk_fn, params))
 
 
-def p0_fraction(params: WalkParams) -> tuple[float, float]:
-    """Success mass with zero rich gains and its standard error.
+def exact_g(params: WalkParams) -> BoundEstimate:
+    """The expectation ``_micro_chunk`` samples, computed exactly.
 
-    Bounded above by (1 + epsilon) * f whenever rho <= 1 (the closed-form
-    argument needs the reinvestment cap below the rich power).
+    Line k's survival mass over climb counts c < N_{k-1} loses mass * jump
+    to per_k[k]; the rest, w, climbs at least j steps with probability
+    q**j, q = 1 / (1 + a*u/rho).  With S[c] = q*S[c-1] + w[c] over
+    c < N_k, the next line's mass is (1-q) * S and q * S[N_k - 1]
+    completes densely.  Samples and seed play no part.
+    """
+    if params.strategy == "max-step":
+        raise DomainError("exact_g covers the micro and hybrid strategies only")
+    if 1.0 / params.f <= 1.0 + params.epsilon:
+        return replace(_trivial_estimate(params), samples=0)
+    _check_climb_range(params)
+    cells = (params.k_max + 1) * _climbs_needed(params, 1.0 + params.k_max * params.rho)
+    if cells > params.budget:
+        raise BudgetError(
+            f"(k_max+1)*N = {cells:.3g} exact DP cells exceed budget {params.budget:.3g}"
+        )
+    mass = np.ones(1)
+    per_k = np.zeros(params.k_max + 1)
+    dense = np.zeros(params.k_max + 1)
+    for k in range(params.k_max + 1):
+        a = 1.0 + k * params.rho
+        contribution = _line_jump(params, a, np.arange(mass.size), out=np.empty(mass.size))
+        contribution *= mass
+        per_k[k] = float(contribution.sum())
+        prefix = np.zeros(_climbs_needed(params, a))
+        np.subtract(mass, contribution, out=prefix[: mass.size])
+        # S[c] = sum over j of q**j w[c-j], by doubling the summed window;
+        # once q**shift underflows the longer terms are all 0
+        log_q = -math.log1p(a * params.u / params.rho)
+        shift = 1
+        while shift < prefix.size and (q_shift := math.exp(shift * log_q)) > 0.0:
+            prefix[shift:] += q_shift * prefix[:-shift]
+            shift *= 2
+        dense[k] = math.exp(log_q) * prefix[-1]
+        mass = prefix * -math.expm1(log_q)
+    estimate = math.fsum(per_k) + math.fsum(dense)
+    return BoundEstimate(
+        estimate=estimate,
+        ci_low=estimate,
+        ci_high=estimate,
+        std_error=0.0,
+        p0=per_k[0] + dense[0],
+        p0_std_error=0.0,
+        per_k=tuple(per_k.tolist()),
+        dense_success_mass=math.fsum(dense),
+        samples=0,
+        params=params,
+    )
+
+
+def compute_g(params: WalkParams) -> BoundEstimate:
+    """The catch-up bound: exact for the micro and hybrid walks, and the
+    Monte Carlo estimate for max-step, which has no exact path."""
+    return estimate_g(params) if params.strategy == "max-step" else exact_g(params)
+
+
+def p0_fraction(params: WalkParams) -> tuple[float, float]:
+    """Monte Carlo success mass with zero rich gains and its standard error.
+
+    For rho <= 1 its jump part per_k[0] is at most (1 + epsilon) * f, as
+    (rho - 1)(R_0 - 1) <= 0; p0 adds line 0's dense climbs and can exceed
+    it: exactly 1.1155e-6 at f = 1e-6, rho = 0.9, epsilon = 0, u = 1e-3.
     """
     result = estimate_g(params)
     return result.p0, result.p0_std_error
@@ -399,11 +473,12 @@ def sweep(
     rho_values: list[float],
     params: WalkParams,
 ) -> list[SweepRow]:
-    """Estimate the bound over a full f x epsilon x rho grid.
+    """The bound over a full f x epsilon x rho grid, one ``compute_g`` per
+    cell.
 
-    Every cell reuses the master seed, so cells are coupled by common
-    random numbers and the monotone trends in f and epsilon are visible
-    even at modest sample counts.
+    Monte Carlo (max-step) cells all reuse the master seed, so they are
+    coupled by common random numbers and the monotone trends in f and
+    epsilon are visible even at modest sample counts.
     """
     if not f_values or not epsilon_values or not rho_values:
         raise DomainError("sweep grids must be non-empty")
@@ -412,7 +487,7 @@ def sweep(
         for eps in epsilon_values:
             for f in f_values:
                 cell = replace(params, f=f, epsilon=eps, rho=rho)
-                result = estimate_g(cell)
+                result = compute_g(cell)
                 rows.append(
                     SweepRow(
                         f=f,
@@ -429,11 +504,12 @@ def sweep(
 def u_sensitivity(
     params: WalkParams, u_values: tuple[float, ...] = (1e-2, 1e-3, 1e-4), samples: int | None = None
 ) -> list[tuple[float, float]]:
-    """Re-estimate at several micro-step granularities."""
+    """The bound at several micro-step granularities; ``samples`` (by
+    default a tenth of the params' samples) applies to max-step only."""
     n = samples if samples is not None else max(params.samples // 10, 10_000)
     out = []
     for u in u_values:
-        result = estimate_g(replace(params, u=u, samples=n))
+        result = compute_g(replace(params, u=u, samples=n))
         out.append((u, result.estimate))
     return out
 

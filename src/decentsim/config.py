@@ -96,11 +96,12 @@ WALK_KEYS = [
     Key("epsilon", "float", default=0.0),
     Key("u", "float", default=1e-3, help="poor node's relative gain per micro-step"),
     Key("k_max", "int", default=100, help="rich-gain truncation"),
-    Key("samples", "int", default=100_000),
-    Key("seed", "int", default=0),
+    Key("samples", "int", default=100_000, help="Monte Carlo walks (max-step only)"),
+    Key("seed", "int", default=0, help="Monte Carlo seed (max-step only)"),
     Key("strategy", "str", default="micro", choices=("micro", "max-step", "hybrid")),
     Key("n_jump", "int", default=1, help="max-size wins a hybrid jump may span"),
-    Key("budget", "float", default=4e9, help="cap on samples * k_max"),
+    Key("budget", "float", default=4e9,
+        help="cap on samples * k_max (max-step) or on exact DP cells (micro, hybrid)"),
 ]
 
 SCHEMAS: dict[str, list[Key]] = {
@@ -136,13 +137,7 @@ SCHEMAS: dict[str, list[Key]] = {
         Key("f_grid", "floats"),
         Key("epsilon_grid", "floats"),
         Key("rho_grid", "floats"),
-        Key("u", "float", default=1e-3),
-        Key("k_max", "int", default=100),
-        Key("samples", "int", default=100_000),
-        Key("seed", "int", default=0),
-        Key("strategy", "str", default="micro", choices=("micro", "max-step", "hybrid")),
-        Key("n_jump", "int", default=1),
-        Key("budget", "float", default=4e9),
+    ] + [key for key in WALK_KEYS if key.name != "epsilon"] + [
         Key("csv_out", "str", default="", help="write the curve table here"),
     ],
     "metrics": SHARED_KEYS + [

@@ -123,6 +123,10 @@ class SimConfig:
                 raise DomainError(f"{name} must be finite")
         if self.epsilon < 0 or not 0 <= self.delta <= 100:
             raise DomainError("epsilon must be >= 0 and delta in [0, 100]")
+        # the upper end, the horizon, applies where a verdict is computed:
+        # at horizon 0 there is none
+        if self.window is not None and self.window < 1:
+            raise DomainError("window must be >= 1")
 
     def effective_window(self) -> int:
         if self.window is not None:

@@ -93,6 +93,8 @@ class Linear:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise DomainError(f"linear coefficient kind must be one of {self.KINDS}")
+        if not math.isfinite(self.k):
+            raise DomainError("k must be finite")
         if not self.k > 0:
             raise DomainError("linear coefficient k must be > 0")
 

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from decentsim.bound import WalkParams, estimate_g, jump_prob, u_sensitivity, WalkState
+from decentsim.bound import WalkParams, estimate_g, exact_g, jump_prob, u_sensitivity, WalkState
 from decentsim.cli import results_payload_bytes, run
 from decentsim.conditions import (
     check_gr,
@@ -141,6 +141,16 @@ class TestCriterion1BoundAnchor:
             f"target~1e-5 elapsed={elapsed:.0f}s",
         )
 
+    def test_exact_bound_inside_monte_carlo_ci(self, bound_anchor):
+        result, _, _ = bound_anchor
+        exact = exact_g(result.params)
+        z = (exact.estimate - result.estimate) / result.std_error
+        criterion(
+            "1", "exact bound at the anchor inside the 10M-sample Monte Carlo CI",
+            result.ci_low <= exact.estimate <= result.ci_high,
+            f"exact={exact.estimate:.6e} mc={result.estimate:.6e} z={z:+.2f}",
+        )
+
     def test_reports_per_k_and_u_sensitivity(self, bound_anchor):
         result, sensitivity, _ = bound_anchor
         estimates = [e for _, e in sensitivity]
@@ -186,6 +196,19 @@ class TestCriterion2Monotonicity:
                 if small.estimate > large.estimate and small.ci_low > large.ci_high:
                     ok = False
         criterion("2", "estimates at rho=1e-2 pointwise below rho=1e-1", ok)
+
+    def test_exact_cells_within_monte_carlo_error(self, bound_grid):
+        worst = 0.0
+        ok = True
+        for cell in bound_grid.values():
+            gap = abs(exact_g(cell.params).estimate - cell.estimate)
+            if cell.std_error == 0.0:
+                ok &= gap == 0.0  # a start on target, 1 on both paths
+            else:
+                worst = max(worst, gap / cell.std_error)
+        ok &= worst <= 4.0
+        criterion("2", "exact bound within 4 SE of Monte Carlo on every grid cell", ok,
+                  f"worst={worst:.2f} SE")
 
 
 class TestCriterion3P0Bound:

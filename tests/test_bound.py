@@ -8,9 +8,12 @@ from hypothesis import given, strategies as st
 
 from decentsim import bound
 from decentsim.bound import (
+    REAL_WORLD_ANCHORS,
     WalkParams,
     WalkState,
+    compute_g,
     estimate_g,
+    exact_g,
     jump_prob,
     p0_fraction,
     poor_win_prob,
@@ -260,6 +263,16 @@ class TestExactChainOracle:
         for k in range(k_max + 1):
             assert result.per_k[k] == pytest.approx(exact_per_k[k], abs=5e-3)
 
+    @pytest.mark.parametrize(
+        "kw", [dict(), dict(strategy="hybrid", n_jump=2)], ids=["micro", "hybrid"]
+    )
+    def test_exact_g_matches_exact_chain(self, kw):
+        f, rho, eps, u, k_max = 0.3, 0.5, 0.0, 0.25, 4
+        exact, exact_per_k = self.dp_expectation(f, rho, eps, u, k_max, kw.get("n_jump"))
+        result = exact_g(params(f=f, rho=rho, epsilon=eps, u=u, k_max=k_max, **kw))
+        assert result.estimate == pytest.approx(exact, rel=1e-12, abs=0)
+        assert result.per_k == pytest.approx(exact_per_k, rel=1e-12, abs=0)
+
     @staticmethod
     def max_step_dp(f, rho, eps, k_max):
         """Per-line success mass of the max-step walk, exactly, on the
@@ -321,6 +334,77 @@ class TestChunkPool:
             p, [chunk_fn(p, i, m) for i, m in enumerate((7_000, 7_000, 6_000))]
         )
         assert pooled == inline
+
+
+class TestExactG:
+    """The exact path's own contract; its values are checked against the
+    DP oracle above and against Monte Carlo in the acceptance suite."""
+
+    def test_reports_no_sampling_error(self):
+        result = exact_g(params())
+        assert result.std_error == result.p0_std_error == 0.0
+        assert result.ci_low == result.estimate == result.ci_high
+        assert result.estimate == pytest.approx(
+            math.fsum(result.per_k) + result.dense_success_mass, rel=1e-15
+        )
+
+    def test_within_monte_carlo_error_with_dense_successes(self):
+        p = params(f=0.5, rho=0.5, samples=200_000)
+        exact, mc = exact_g(p), estimate_g(p)
+        assert exact.dense_success_mass > 0.01
+        assert abs(exact.estimate - mc.estimate) <= 4 * mc.std_error
+        assert abs(exact.p0 - mc.p0) <= 4 * mc.p0_std_error
+
+    def test_trivial_start(self):
+        result = exact_g(params(f=0.5, epsilon=1.0))
+        assert result.estimate == result.p0 == result.per_k[0] == 1.0
+
+    def test_compute_g_picks_the_path_from_the_strategy(self):
+        assert compute_g(params()) == exact_g(params())
+        assert compute_g(params(strategy="hybrid")) == exact_g(params(strategy="hybrid"))
+        p = params(f=0.5, strategy="max-step", samples=2_000)
+        assert compute_g(p) == estimate_g(p)
+        with pytest.raises(DomainError):
+            exact_g(p)
+
+    def test_dp_cell_budget(self):
+        # 101 lines of about 11,600 climb counts each
+        with pytest.raises(BudgetError, match="DP cells"):
+            exact_g(params(budget=1e6))
+        assert exact_g(params(budget=1.2e6)).estimate > 0
+
+    def test_climb_range_checked_before_the_budget(self):
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            exact_g(params(u=1e-300, budget=1.0))
+
+    @pytest.mark.parametrize(
+        "anchor, expected", [("f_0", 6.948e-10), ("f_15", 1.3200e-6), ("f_50", 5.748e-6)]
+    )
+    def test_real_world_anchors(self, anchor, expected):
+        # the observed gaps at the host system's reward cap
+        result = exact_g(
+            WalkParams(f=REAL_WORLD_ANCHORS[anchor], rho=REAL_WORLD_ANCHORS["rho_max"])
+        )
+        assert result.estimate == pytest.approx(expected, rel=1e-3, abs=0)
+
+
+class TestP0Claim:
+    """For rho <= 1 the line-0 jump term is at most (1 + eps) f, since
+    (rho - 1)(R_0 - 1) <= 0; p0 adds the dense climbs of line 0 and can
+    exceed it."""
+
+    def test_jump_term_bounded_for_rho_up_to_one(self):
+        for f in (1e-6, 1e-4, 1e-2, 0.5):
+            for eps in (0.0, 9.0, 99.0):
+                for rho in (0.01, 0.1, 0.3, 0.5, 0.9, 1.0):
+                    result = exact_g(params(f=f, epsilon=eps, rho=rho, u=1e-2, k_max=1))
+                    assert result.per_k[0] <= (1.0 + eps) * f * (1.0 + 1e-12)
+
+    def test_p0_exceeds_the_jump_bound(self):
+        result = exact_g(params(f=1e-6, rho=0.9))
+        assert result.per_k[0] == pytest.approx(0.9 / (0.9 + 1e6 - 1.0), rel=1e-12, abs=0)
+        assert result.p0 == pytest.approx(1.1155e-6, rel=1e-4, abs=0)
+        assert result.p0 > 1e-6
 
 
 class TestSweep:

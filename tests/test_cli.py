@@ -105,13 +105,22 @@ class TestBoundCommand:
         assert results["ci_low"] <= results["estimate"] <= results["ci_high"]
         assert len(results["per_k"]) == 101
         assert results["p0"] <= results["p0_analytic_bound"] + 3 * results["p0_std_error"]
+        # micro is computed exactly: no sampling error
+        assert results["std_error"] == results["p0_std_error"] == 0.0
+        assert results["ci_low"] == results["estimate"] == results["ci_high"]
 
     def test_budget_exit_code(self, capsys):
         code = main([
             "bound", "--f", "1e-4", "--rho", "0.1", "--samples", str(10**9),
-            "--k_max", "10000",
+            "--k_max", "10000", "--strategy", "max-step",
         ])
         assert code == 5
+
+    def test_dp_cell_budget_exit_code(self, capsys):
+        # about 9.2e9 climbs on the last line, times 101 lines
+        code = main(["bound", "--f", "1e-4", "--rho", "0.1", "--u", "1e-9"])
+        assert code == 5
+        assert "exact DP cells exceed budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value", [("u", "inf"), ("epsilon", "nan"), ("rho", "inf"), ("budget", "nan")]
@@ -147,6 +156,12 @@ class TestSimulateCommand:
         assert len(rows) == 42
         assert float(rows[1][2]) + float(rows[1][3]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("horizon", ["0", "40"])
+    def test_window_below_one_exit_code(self, horizon, capsys):
+        argv = self.ARGS + ["--horizon", horizon, "--window", "-5"]
+        assert main(argv) == 3
+        assert "DomainError: window must be >= 1" in capsys.readouterr().err
+
     def test_report_has_verdict(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(self.ARGS + ["--out", str(out)]) == 0
@@ -167,6 +182,7 @@ class TestNonFiniteInput:
             (["simulate", "--model", "pow", "--br", "inf"], "b_r"),
             (["check", "--powers", "inf,1"], "powers"),
             (["check", "--gamma", "nan"], "gamma"),
+            (["check", "--model", "linear", "--k", "inf"], "k"),
         ],
     )
     def test_non_finite_input_exit_code(self, argv, field, capsys):

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from decentsim.config import echo_values, parse_config
 from decentsim.errors import ConfigError
+
+# checked-in run configs, one directory per subcommand
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*/*.json"))
 
 
 class TestBoundSchema:
@@ -96,3 +100,12 @@ class TestEcho:
     def test_unknown_subcommand(self):
         with pytest.raises(ConfigError):
             parse_config("teleport")
+
+
+class TestCheckedInConfigs:
+    def test_configs_exist(self):
+        assert {path.parent.name for path in CONFIGS} == {"bound", "sweep"}
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: f"{path.parent.name}/{path.stem}")
+    def test_parses(self, path):
+        parse_config(path.parent.name, file=path)
