@@ -63,6 +63,8 @@ EXIT_CODES = {
     ConfigError: 2,
     StructuralError: 3,
     DomainError: 3,
+    ArithmeticError: 3,  # a result outside the float range
+    ValueError: 3,  # e.g. a non-finite value strict JSON refuses
     SearchBoundError: 4,
     BudgetError: 5,
     UnsupportedModelError: 6,
@@ -365,11 +367,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         config = parse_config(args.subcommand, file=args.config, overrides=overrides)
-        report = run(config)
+        text = json.dumps(run(config), sort_keys=True, indent=2, allow_nan=False)
     except tuple(EXIT_CODES) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CODES[type(exc)]
-    text = json.dumps(report, sort_keys=True, indent=2)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     if config["out"]:
         path = _resolve_path(config["out"])
         path.parent.mkdir(parents=True, exist_ok=True)

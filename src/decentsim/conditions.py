@@ -3,18 +3,22 @@
 Reward coverage (at least m nodes profit) is decided exactly.  The
 no-gain-from-merging and no-gain-from-splitting conditions quantify over
 continuum re-allocations, so they are decided by bounded brute force: all
-node subsets up to a hard cap, all survivor sets, and all power splits on
-a uniform grid.  Every reported witness carries enough detail to be
-re-evaluated independently.  The even-distribution condition is a limit
-statement about the power dynamics and is delegated to the simulator.
+node subsets up to a hard cap and all power splits on a uniform grid, one
+per multiset of parts (exactly summed utilities ignore part order; DPoS
+ties favour the parts, which come first) and one survivor set per merge
+size (survivors do not change the merged state).  Searches above
+MAX_ALLOCATIONS are refused.  Every reported witness carries enough detail
+to be re-evaluated independently.  The even-distribution condition is a
+limit statement about the power dynamics and is delegated to the simulator.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .incentives import (
 REL_TOL = 1e-9
 DEFAULT_GRID = 20
 DEFAULT_MAX_NODES = 6
+MAX_ALLOCATIONS = 250_000  # per merge or split search: ~7 s at ~27 µs each (6 nodes)
 
 
 @dataclass(frozen=True)
@@ -121,25 +126,59 @@ def check_gr(model: IncentiveModel, pv: PowerVector, m: int) -> GrResult:
 
 
 def grid_allocations(total: float, parts: int, grid: int) -> Iterator[tuple[float, ...]]:
-    """All strictly positive splits of ``total`` into ``parts`` grid cells.
+    """All strictly positive splits of ``total`` into ``parts`` grid cells,
+    one per multiset of parts.
 
     Each part receives an integer number (>= 1) of ``grid`` equal shares,
-    so the enumeration covers the simplex at resolution total/grid.
+    no fewer than the part before it, so the enumeration covers the simplex
+    at resolution total/grid up to part order, in lexicographic order.
     """
     if parts < 1 or grid < parts:
         return
     unit = total / grid
 
-    def compose(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
+    def compose(remaining: int, slots: int, low: int) -> Iterator[tuple[int, ...]]:
         if slots == 1:
             yield (remaining,)
             return
-        for first in range(1, remaining - slots + 2):
-            for rest in compose(remaining - first, slots - 1):
+        for first in range(low, remaining // slots + 1):
+            for rest in compose(remaining - first, slots - 1, first):
                 yield (first, *rest)
 
-    for cells in compose(grid, parts):
+    for cells in compose(grid, parts, 1):
         yield tuple(c * unit for c in cells)
+
+
+def _check_search_size(what: str, grid: int, top: int, searches: Callable[[int], int]) -> None:
+    """Refuse, above MAX_ALLOCATIONS, ``searches(t)`` grid splits into t <= top
+    parts, p(grid, t) = p(grid - 1, t - 1) + p(grid - t, t) each.  p never falls
+    as grid grows, so rows stop once past the bound (or at 1 if top <= 1).
+    """
+    rows = deque([[1]], maxlen=max(top, 1))  # rows[-k] holds p(n - k, 0..min(n - k, top))
+    for n in range(1, (grid if top > 1 else min(grid, 1)) + 1):
+        rows.append([0] + [rows[-1][t - 1] + (rows[-t][t] if 2 * t <= n else 0)
+                           for t in range(1, min(n, top) + 1)])
+        count = sum(searches(t) * p for t, p in enumerate(rows[-1]))
+        if count > MAX_ALLOCATIONS:
+            raise SearchBoundError(f"the {what} search would score at least {count} "
+                                   f"grid allocations, above the bound of {MAX_ALLOCATIONS}")
+
+
+def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each distinct-player node set with, per survivor count, the first
+    survivor set that leaves fewer than m players running."""
+    indices = range(len(pm))
+    for size in range(2, len(pm) + 1):
+        for subset in combinations(indices, size):
+            owners = [pm.owners[i] for i in subset]
+            if len(set(owners)) != len(owners):
+                continue  # not a distinct-player set
+            outside = {pm.owners[i] for i in indices if i not in subset}
+            for surv_size in range(1, size):
+                for survivors in combinations(subset, surv_size):
+                    if len(outside.union(pm.owners[i] for i in survivors)) < m:
+                        yield subset, survivors
+                        break
 
 
 def check_nd(
@@ -154,7 +193,9 @@ def check_nd(
 
     Only merges that leave fewer than m players running nodes count.  The
     combined power may be re-allocated arbitrarily among the surviving
-    nodes; the grid discretizes that re-allocation.  Holds on equality.
+    nodes; the grid discretizes that re-allocation.  Survivors decide only
+    whether a merge counts, not its total, so the first survivor set of each
+    size that counts is the only one scored.  Holds on equality.
     """
     n = len(pv)
     if n != len(pm):
@@ -163,41 +204,28 @@ def check_nd(
         raise SearchBoundError(
             f"{n} nodes exceeds the merge search bound of {max_nodes}"
         )
+    sizes = Counter(len(survivors) for _, survivors in _merges(pm, m))
+    _check_search_size("merge", grid, max(sizes, default=0), sizes.__getitem__)
     best: MergeWitness | None = None
-    indices = range(n)
-    for size in range(2, n + 1):
-        for subset in combinations(indices, size):
-            owners = [pm.owners[i] for i in subset]
-            if len(set(owners)) != len(owners):
-                continue  # not a distinct-player set
-            separate = math.fsum(realized_utility(model, i, pv) for i in subset)
-            pool = math.fsum(pv.powers[i] for i in subset)
-            for surv_size in range(1, size):
-                for survivors in combinations(subset, surv_size):
-                    removed = set(subset) - set(survivors)
-                    running = {
-                        pm.owners[i] for i in indices if i not in removed
-                    }
-                    if len(running) >= m:
-                        continue  # merge does not push the player count below m
-                    keep = [i for i in indices if i not in set(subset)]
-                    for alloc in grid_allocations(pool, surv_size, grid):
-                        merged_powers = list(alloc) + [pv.powers[i] for i in keep]
-                        merged_pv = PowerVector(tuple(merged_powers))
-                        merged = math.fsum(
-                            realized_utility(model, j, merged_pv)
-                            for j in range(surv_size)
-                        )
-                        if merged > separate + _tolerance(separate):
-                            witness = MergeWitness(
-                                merged_nodes=subset,
-                                surviving_nodes=survivors,
-                                allocation=alloc,
-                                separate_total=separate,
-                                merged_total=merged,
-                            )
-                            if best is None or witness.gain > best.gain:
-                                best = witness
+    for subset, survivors in _merges(pm, m):
+        separate = math.fsum(realized_utility(model, i, pv) for i in subset)
+        pool = math.fsum(pv.powers[i] for i in subset)
+        keep = tuple(pv.powers[i] for i in range(n) if i not in subset)
+        for alloc in grid_allocations(pool, len(survivors), grid):
+            merged_pv = PowerVector(alloc + keep)
+            merged = math.fsum(
+                realized_utility(model, j, merged_pv) for j in range(len(survivors))
+            )
+            if merged > separate + _tolerance(separate):
+                witness = MergeWitness(
+                    merged_nodes=subset,
+                    surviving_nodes=survivors,
+                    allocation=alloc,
+                    separate_total=separate,
+                    merged_total=merged,
+                )
+                if best is None or witness.gain > best.gain:
+                    best = witness
     return NdResult(holds=best is None, witness=best)
 
 
@@ -214,7 +242,8 @@ def check_ns(
     its power across several nodes, net of the multi-node cost?
 
     The split utilities and the single-node utility are evaluated against
-    the other players' nodes as a fixed context.  Holds on equality.
+    the other players' nodes as a fixed context, one split per multiset of
+    parts (neither total nor cost depends on part order).  Holds on equality.
     """
     if len(pv) != len(pm):
         raise DomainError("power vector and player map must be parallel")
@@ -222,10 +251,10 @@ def check_ns(
         raise DomainError("grid must allow at least a two-way split")
     eps = effective_powers(pv, pm)
     threshold = percentile_power(list(eps.values()), delta)
+    audited = [(player, power) for player, power in eps.items() if power >= threshold]
+    _check_search_size("split", grid, min(max_parts, grid), lambda t: len(audited) * (t >= 2))
     best: SplitWitness | None = None
-    for player, power in eps.items():
-        if power < threshold:
-            continue
+    for player, power in audited:
         context = tuple(
             pv.powers[i] for i in range(len(pv)) if pm.owners[i] != player
         )

@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decentsim import cli, dynamics
 from decentsim.cli import main, results_payload_bytes, run
@@ -76,6 +79,67 @@ class TestCheckCommand:
             "--m", "2",
         ])
         assert code == 4
+
+    def test_huge_grid_is_refused_at_once(self, capsys):
+        started = time.perf_counter()
+        code = main([
+            "check", "--model", "gamma", "--br", "3", "--powers", "4,1,2,0.5,3,1.5",
+            "--m", "6", "--grid", "100000",
+        ])
+        assert time.perf_counter() - started < 1.0
+        assert code == 4
+        assert "grid allocations, above the bound of" in capsys.readouterr().err
+
+
+def reject_constant(name):
+    raise ValueError(f"report holds the non-JSON number {name}")
+
+
+CHECK_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-5.0, 20.0),
+    st.sampled_from((0.0, 1.0, 2.0)),
+)
+
+
+@st.composite
+def check_argv(draw):
+    n = draw(st.integers(1, 5))
+    flags = {
+        "model": draw(st.sampled_from(("pow", "pos", "dpos", "gamma", "linear"))),
+        "powers": ",".join(map(repr, draw(st.lists(CHECK_NUMBER, min_size=n, max_size=n)))),
+        "m": draw(st.integers(-1, 7)),
+        "delta": repr(draw(st.one_of(st.sampled_from((0.0, 50.0, 100.0)), CHECK_NUMBER))),
+        "grid": draw(st.integers(-1, 8)),
+        "max_nodes": draw(st.integers(0, 6)),
+        "sybil": draw(st.sampled_from(("zero", "threshold-cover"))),
+        "linearity_trials": 4,
+    }
+    owners = draw(st.lists(st.sampled_from("abc"), max_size=6))
+    if owners:
+        flags["owners"] = ",".join(owners)
+    for key in ("br", "c1", "c2", "c", "sb", "gamma", "k", "margin"):
+        if draw(st.booleans()):
+            flags[key] = repr(draw(CHECK_NUMBER))
+    if draw(st.booleans()):
+        flags["ndpos"] = draw(st.integers(-1, 4))
+    # "--key=value", so that argparse reads a value such as -inf as a value
+    return ["check"] + [f"--{key}={value}" for key, value in flags.items()]
+
+
+class TestCheckInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(check_argv())
+    def test_exits_cleanly(self, argv):
+        # every input either reports strict JSON or exits with a documented code
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        else:
+            assert code in (2, 3, 4, 5, 6)
+            assert err.getvalue().split(":")[0].endswith("Error")
 
 
 class TestSweepCommand:

@@ -1,10 +1,19 @@
 import math
+import random
+import time
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decentsim import conditions, incentives
 from decentsim.conditions import (
+    MergeWitness,
+    NdResult,
+    NsResult,
+    SplitWitness,
+    _tolerance,
     check_all,
     check_gr,
     check_linearity,
@@ -14,15 +23,18 @@ from decentsim.conditions import (
     verify_merge_witness,
     verify_split_witness,
 )
-from decentsim.core import PlayerMap, PowerVector
+from decentsim.core import PlayerMap, PowerVector, effective_powers, percentile_power
 from decentsim.errors import SearchBoundError
 from decentsim.incentives import (
+    DPoS,
     GammaReward,
     Linear,
     PoS,
     PoW,
     ThresholdCoverSybilCost,
     ZeroSybilCost,
+    realized_utility,
+    sybil_cost,
 )
 
 
@@ -50,10 +62,27 @@ class TestRewardCoverage:
         assert res.profitable_nodes == 1
 
 
+def partitions_into(grid, parts):
+    """Multisets of ``parts`` positive integers summing to ``grid``, sorted."""
+    return sorted(
+        c for c in combinations_with_replacement(range(1, grid + 1), parts) if sum(c) == grid
+    )
+
+
 class TestGridAllocations:
     def test_counts(self):
-        assert len(list(grid_allocations(1.0, 2, 20))) == 19
+        # one split per multiset of parts: the partition numbers p(grid, parts)
+        assert len(list(grid_allocations(1.0, 2, 20))) == 10
         assert len(list(grid_allocations(1.0, 1, 20))) == 1
+        for parts, grid in [(3, 10), (4, 12), (5, 5), (6, 20), (3, 2)]:
+            count = len(list(grid_allocations(1.0, parts, grid)))
+            assert count == len(partitions_into(grid, parts))
+
+    def test_one_non_decreasing_split_per_multiset_in_order(self):
+        # with total == grid every part is a whole number of cells
+        for parts, grid in [(2, 9), (3, 10), (4, 11)]:
+            splits = list(grid_allocations(float(grid), parts, grid))
+            assert splits == [tuple(map(float, c)) for c in partitions_into(grid, parts)]
 
     def test_each_allocation_positive_and_complete(self):
         for alloc in grid_allocations(4.0, 3, 10):
@@ -254,3 +283,197 @@ class TestFullReport:
         assert rep.gr.holds
         assert not rep.nd.holds
         assert rep.ed == "deferred"
+
+
+def compositions(grid, parts):
+    """Every split of ``grid`` cells into ``parts`` positive counts, in
+    lexicographic order, from ``parts - 1`` cut points."""
+    for cuts in combinations(range(1, grid), parts - 1):
+        bounds = (0, *cuts, grid)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def brute_check_nd(model, pv, pm, m, grid):
+    """The merge search over every composition and every survivor set."""
+    best = None
+    indices = range(len(pv))
+    for size in range(2, len(pv) + 1):
+        for subset in combinations(indices, size):
+            owners = [pm.owners[i] for i in subset]
+            if len(set(owners)) != len(owners):
+                continue
+            separate = math.fsum(realized_utility(model, i, pv) for i in subset)
+            pool = math.fsum(pv.powers[i] for i in subset)
+            keep = [pv.powers[i] for i in indices if i not in subset]
+            for surv_size in range(1, size):
+                for survivors in combinations(subset, surv_size):
+                    removed = set(subset) - set(survivors)
+                    if len({pm.owners[i] for i in indices if i not in removed}) >= m:
+                        continue
+                    for cells in compositions(grid, surv_size):
+                        alloc = tuple(c * (pool / grid) for c in cells)
+                        merged_pv = PowerVector(alloc + tuple(keep))
+                        merged = math.fsum(
+                            realized_utility(model, j, merged_pv) for j in range(surv_size)
+                        )
+                        if merged > separate + _tolerance(separate):
+                            witness = MergeWitness(subset, survivors, alloc, separate, merged)
+                            if best is None or witness.gain > best.gain:
+                                best = witness
+    return NdResult(holds=best is None, witness=best)
+
+
+def brute_check_ns(model, sybil, pv, pm, delta, grid, max_parts):
+    """The split search over every composition of each audited player."""
+    eps = effective_powers(pv, pm)
+    threshold = percentile_power(list(eps.values()), delta)
+    best = None
+    for player, power in eps.items():
+        if power < threshold:
+            continue
+        context = tuple(pv.powers[i] for i in range(len(pv)) if pm.owners[i] != player)
+        single = realized_utility(model, 0, PowerVector((power, *context)))
+        for parts_count in range(2, min(max_parts, grid) + 1):
+            for cells in compositions(grid, parts_count):
+                parts = tuple(c * (power / grid) for c in cells)
+                split_pv = PowerVector(parts + context)
+                split_total = math.fsum(
+                    realized_utility(model, j, split_pv) for j in range(parts_count)
+                )
+                cost = sybil_cost(sybil, model, parts, context)
+                if split_total - cost > single + _tolerance(single):
+                    witness = SplitWitness(player, power, parts, single, split_total, cost)
+                    if best is None or witness.gain > best.gain:
+                        best = witness
+    return NsResult(holds=best is None, witness=best)
+
+
+def seesaw_reward(total):
+    return 6.0 / (1.0 + total)
+
+
+ORACLE_MODELS = ("pow", "pos", "dpos", "gamma", "linear")
+ORACLE_SYBILS = (ZeroSybilCost(), ThresholdCoverSybilCost(0.0), ThresholdCoverSybilCost(0.3))
+
+
+def oracle_case(name, rep):
+    """One seeded check input per (model, repetition): DPoS on tied powers
+    with few producers or with n to 2n (so that many splits tie), PoS with
+    stakes below s_b, gamma with a total-dependent reward, shared
+    owners on odd repetitions, m from 1 to n + 1, delta from {0, 50, 100}."""
+    rng = random.Random(f"{name}/{rep}")
+    n = rng.randint(2, 5)
+    if name == "dpos":
+        powers = tuple(rng.choice((1.0, 2.0, 2.0, 3.0)) for _ in range(n))
+    else:
+        powers = tuple(round(rng.uniform(0.2, 4.0), 2) for _ in range(n))
+    model = {
+        "pow": PoW(12.5, rng.choice((0.0, 0.3)), rng.choice((0.0, 1.0))),
+        "pos": PoS(10.0, 1.0, s_b=sorted(powers)[n // 2]),
+        "dpos": DPoS(5.0, 1.0, n_dpos=rng.randint(1, 3) if rep < 4 else rng.randint(n, 2 * n)),
+        "gamma": GammaReward(
+            3.0, rng.choice((0.3, 0.5, 1.5)), b_r_fn=seesaw_reward if rep % 2 else None
+        ),
+        "linear": Linear(rng.choice(Linear.KINDS), 2.0),
+    }[name]
+    owners = tuple(
+        f"p{rng.randrange(max(2, n - 1))}" if rep % 2 else f"p{i}" for i in range(n)
+    )
+    m = (1, n + 1, rng.randint(1, n + 1))[rep % 3]
+    delta = (0.0, 50.0, 100.0)[rep % 3]
+    grid, max_parts = rng.randint(4, 7), rng.randint(2, 5)
+    return model, PowerVector(powers), PlayerMap(owners), m, delta, grid, max_parts
+
+
+class TestSearchMatchesBruteForce:
+    """The multiset search reports the verdict and witness, bit for bit, of
+    the search over every composition and every survivor set."""
+
+    @pytest.mark.parametrize("rep", range(8))
+    @pytest.mark.parametrize("name", ORACLE_MODELS)
+    def test_merge_search(self, name, rep):
+        model, pv, pm, m, _, grid, _ = oracle_case(name, rep)
+        assert check_nd(model, pv, pm, m, grid=grid) == brute_check_nd(model, pv, pm, m, grid)
+
+    @pytest.mark.parametrize("sybil", ORACLE_SYBILS, ids=repr)
+    @pytest.mark.parametrize("rep", range(8))
+    @pytest.mark.parametrize("name", ORACLE_MODELS)
+    def test_split_search(self, name, rep, sybil):
+        model, pv, pm, _, delta, grid, max_parts = oracle_case(name, rep)
+        got = check_ns(model, sybil, pv, pm, delta, grid=grid, max_parts=max_parts)
+        assert got == brute_check_ns(model, sybil, pv, pm, delta, grid, max_parts)
+
+
+PERMUTATION_MODELS = (
+    PoW(12.5, 0.1, 1.0),
+    PoS(10.0, 1.0, s_b=1.5),
+    DPoS(5.0, 1.0, n_dpos=2),
+    GammaReward(3.0, 0.5, b_r_fn=seesaw_reward),
+    Linear("inverse-total", 3.0),
+)
+# tied powers make DPoS elections break ties by index
+NODE_POWER = st.one_of(st.sampled_from((1.0, 2.0, 3.0)), st.floats(0.05, 20.0))
+
+
+class TestPartOrderInvariance:
+    """The multiset search rests on this: permuting a player's parts
+    changes neither the split total nor the multi-node cost, bit for bit."""
+
+    @pytest.mark.parametrize("model", PERMUTATION_MODELS, ids=lambda m: type(m).__name__)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        parts=st.lists(NODE_POWER, min_size=2, max_size=4),
+        context=st.lists(NODE_POWER, max_size=3),
+    )
+    def test_split_total_and_cost(self, model, parts, context):
+        sybil = ThresholdCoverSybilCost(0.25)
+
+        def scored(order):
+            state = PowerVector(tuple(order) + tuple(context))
+            total = math.fsum(realized_utility(model, j, state) for j in range(len(order)))
+            return total, sybil_cost(sybil, model, order, context)
+
+        expected = scored(parts)
+        for order in permutations(parts):
+            assert scored(order) == expected
+
+
+class TestSearchBound:
+    MODEL = GammaReward(3, 0.5)
+    CASES = [
+        ("merge", lambda grid: check_nd(
+            TestSearchBound.MODEL, PowerVector((4, 1, 2, 0.5)), players(4), m=4, grid=grid)),
+        ("split", lambda grid: check_ns(
+            TestSearchBound.MODEL, ZeroSybilCost(), PowerVector((4, 1, 2)), players(3),
+            delta=0, grid=grid)),
+    ]
+
+    @pytest.mark.parametrize("what, search", CASES, ids=[c[0] for c in CASES])
+    def test_count_is_exact(self, what, search, monkeypatch):
+        scored = []
+        original = conditions.grid_allocations
+
+        def counting(*args):
+            for alloc in original(*args):
+                scored.append(alloc)
+                yield alloc
+
+        monkeypatch.setattr(conditions, "grid_allocations", counting)
+        expected = search(9)
+        count = len(scored)
+        monkeypatch.setattr(conditions, "MAX_ALLOCATIONS", count)
+        assert search(9) == expected
+        monkeypatch.setattr(conditions, "MAX_ALLOCATIONS", count - 1)
+        with pytest.raises(SearchBoundError, match=f"{what} search .* at least {count} "):
+            search(9)
+
+    @pytest.mark.parametrize("what, search", CASES, ids=[c[0] for c in CASES])
+    def test_refused_before_any_utility_call(self, what, search, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("utility called before the search was counted")
+
+        monkeypatch.setattr(incentives, "utility", no_call)
+        started = time.perf_counter()
+        with pytest.raises(SearchBoundError, match=f"bound of {conditions.MAX_ALLOCATIONS}"):
+            search(10**12)
+        assert time.perf_counter() - started < 1.0

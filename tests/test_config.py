@@ -104,7 +104,7 @@ class TestEcho:
 
 class TestCheckedInConfigs:
     def test_configs_exist(self):
-        assert {path.parent.name for path in CONFIGS} == {"bound", "sweep"}
+        assert {path.parent.name for path in CONFIGS} == {"bound", "sweep", "check"}
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: f"{path.parent.name}/{path.stem}")
     def test_parses(self, path):
