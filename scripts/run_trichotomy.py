@@ -53,10 +53,10 @@ class SlopeRecorder:
         self.sum_y = np.zeros(n_seeds)
         self.sum_ty = np.zeros(n_seeds)
 
-    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
-        y = state[:, self.node] / state.sum(axis=1)
-        self.sum_y += y
-        self.sum_ty += t * y
+    def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
+        y = states[:, :, self.node] / states.sum(axis=2)
+        self.sum_y += y.sum(axis=0)
+        self.sum_ty += np.arange(t0, t0 + len(states), dtype=float) @ y
 
     def slopes(self, horizon: int) -> np.ndarray:
         steps = horizon + 1

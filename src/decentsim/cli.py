@@ -36,7 +36,7 @@ from .dynamics import (
     _FinalWindowRecorder,
     _fractions,
     _nearest_rank_index,
-    _power_ratios,
+    _ratios,
     run_seeds,
 )
 from .errors import (
@@ -109,14 +109,10 @@ def _build_init(cfg: RunConfig):
     )
 
 
-# steps of every seed buffered between appends to the trajectory CSVs
-CSV_BLOCK = 1024
-
-
 class _TrajectoryCsvWriter:
     """Streams each seed's per-step power ratio and fractions to
-    ``trajectory_<seed>.csv``, CSV_BLOCK steps at a time, with the bytes
-    ``csv.writer`` gives for rows of ``repr`` floats."""
+    ``trajectory_<seed>.csv``, one appended block of steps per ``record``,
+    with the bytes ``csv.writer`` gives for rows of ``repr`` floats."""
 
     def __init__(self, out_dir: Path, sim: SimConfig, rank: int) -> None:
         self.out_dir = out_dir
@@ -124,36 +120,26 @@ class _TrajectoryCsvWriter:
         self.paths = {
             out_dir / f"trajectory_{seed}.csv": row for row, seed in enumerate(sim.seeds)
         }
-        self.horizon = sim.horizon
         self.rank = rank
-        self.block = np.empty(
-            (len(sim.seeds), min(CSV_BLOCK, sim.horizon + 1), sim.n_nodes + 1)
-        )
-        self.start = 0
         self.header = ",".join(
             ["step", "ratio"] + [f"beta_{i + 1}" for i in range(sim.n_nodes)]
         ) + "\r\n"
 
-    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
-        i = t - self.start
-        self.block[:, i, 0] = _power_ratios(state, self.rank)
-        self.block[:, i, 1:] = _fractions(state)
-        if i + 1 == self.block.shape[1] or t == self.horizon:
-            self._append(t + 1)
-
-    def _append(self, stop: int) -> None:
-        first = self.start == 0
+    def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
+        first = t0 == 0
         if first:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-        steps = range(self.start, stop)
+        table = np.concatenate(
+            [_ratios(states, self.rank)[..., None], _fractions(states)], axis=2
+        )
+        steps = range(t0, t0 + len(states))
         for path, row in self.paths.items():
-            values = self.block[row, : stop - self.start].tolist()
             text = "".join(
-                f"{step},{','.join(map(repr, line))}\r\n" for step, line in zip(steps, values)
+                f"{step},{','.join(map(repr, line))}\r\n"
+                for step, line in zip(steps, table[:, row].tolist())
             )
             with path.open("w" if first else "a", newline="", encoding="utf-8") as handle:
                 handle.write(self.header + text if first else text)
-        self.start = stop
 
 
 def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
@@ -183,7 +169,7 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
         "per_seed": [
             {"seed": seed, "final_ratio": ratio, "final_betas": betas}
             for seed, ratio, betas in zip(
-                sim.seeds, _power_ratios(state, rank).tolist(), _fractions(state).tolist()
+                sim.seeds, _ratios(state, rank).tolist(), _fractions(state).tolist()
             )
         ],
     }

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -158,44 +158,6 @@ def _nearest_rank_index(n: int, delta: float) -> int:
     return min(max(rank, 1), n) - 1
 
 
-def _winner_net_rewards(
-    model: IncentiveModel,
-    state: np.ndarray,
-    rows: np.ndarray,
-    winners: np.ndarray,
-    reward: RewardParams,
-) -> np.ndarray | float:
-    """Clamped net reward earned by each row's winner; a single float when
-    it is the same for every row."""
-    if isinstance(model, PoW):
-        gross = model.b_r - model.c1 * state[rows, winners] - model.c2
-    elif isinstance(model, PoS):
-        return min(max(model.b_r - model.c, 0.0), reward.r_max)
-    elif isinstance(model, GammaReward):
-        if model.b_r_fn is None:
-            return min(max(model.b_r, 0.0), reward.r_max)
-        gross = np.array([block_reward(model, t) for t in state.sum(axis=1)])
-    else:
-        raise UnsupportedModelError(f"{type(model).__name__} is not a lottery model")
-    return np.clip(gross, 0.0, reward.r_max)
-
-
-def _advance(
-    model: IncentiveModel,
-    state: np.ndarray,
-    uniforms: np.ndarray,
-    reward: RewardParams,
-) -> np.ndarray:
-    """One lottery step applied to every row of ``state`` in place."""
-    rows = np.arange(state.shape[0])
-    # the ufunc cumsum calls, without cumsum's per-call dispatch overhead
-    cum = np.add.accumulate(lottery_weights(model, state), axis=1)
-    winners = (cum <= (uniforms * cum[:, -1])[:, None]).sum(axis=1)
-    net = _winner_net_rewards(model, state, rows, winners, reward)
-    state[rows, winners] += reward.r * net
-    return winners
-
-
 def step(
     state: PowerVector,
     model: IncentiveModel,
@@ -205,39 +167,100 @@ def step(
     """Advance one time unit: exactly one node wins and reinvests.
 
     Consumes exactly one uniform draw, so repeated calls with a fresh
-    generator reproduce ``simulate`` bit for bit.
+    generator reproduce ``simulate`` bit for bit.  It is written apart from
+    the batched ``run_seeds`` kernel, as the reference that kernel is
+    tested against.
     """
     if not isinstance(model, LOTTERY_MODELS):
         raise UnsupportedModelError(
             f"{type(model).__name__} has no block lottery to simulate"
         )
-    arr = np.array([state.powers], dtype=float)
-    if isinstance(model, PoS) and bool(np.any(arr < model.s_b)):
+    powers = np.array(state.powers, dtype=float)
+    if isinstance(model, PoS) and bool(np.any(powers < model.s_b)):
         raise DomainError("every stake must be >= s_b to run the lottery")
-    _advance(model, arr, rng.random(1), reward)
-    return PowerVector(tuple(arr[0]))
+    cum = np.add.accumulate(lottery_weights(model, powers))
+    winner = int((cum <= rng.random() * cum[-1]).sum())
+    if isinstance(model, PoW):
+        gross = model.b_r - model.c1 * powers[winner] - model.c2
+    elif isinstance(model, PoS):
+        gross = model.b_r - model.c
+    else:
+        gross = block_reward(model, powers.sum())
+    powers[winner] += reward.r * min(max(gross, 0.0), reward.r_max)
+    return PowerVector(tuple(powers))
+
+
+def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float | None, Callable]:
+    """What stays constant through a run over ``state``: the weight exponent
+    (None where the weights are the powers) and the winner's increment
+    r · clamp(net reward, 0, r_max) as a function of the winners' indices
+    into the flattened state.  Powers never shrink and grow by at most the
+    largest increment per step, so a run whose weights could overflow, or
+    start all at 0, is refused here: its lottery would have no winner."""
+    model, reward = config.model, config.reward
+    if isinstance(model, PoS) and bool(np.any(state < model.s_b)):
+        raise DomainError("every stake must be >= s_b to run the lottery")
+    flat = state.reshape(-1)
+    if isinstance(model, PoW):
+        largest = min(max(model.b_r - model.c2, 0.0), reward.r_max)
+
+        def increment(index):
+            gross = model.b_r - model.c1 * flat[index] - model.c2
+            return reward.r * np.clip(gross, 0.0, reward.r_max)
+
+    elif isinstance(model, GammaReward) and model.b_r_fn is not None:
+        largest = reward.r_max
+
+        def increment(index):
+            gross = np.array([model.block_reward(total) for total in state.sum(axis=1)])
+            return reward.r * np.clip(gross, 0.0, reward.r_max)
+
+    else:
+        b_r = model.b_r - model.c if isinstance(model, PoS) else model.b_r
+        largest = min(max(b_r, 0.0), reward.r_max)
+        fixed = reward.r * largest
+
+        def increment(index):
+            return fixed
+
+    exponent = model.gamma if isinstance(model, GammaReward) else None
+    gamma = 1.0 if exponent is None else exponent
+    low = float(state.max())
+    high = low + config.horizon * (reward.r * largest)
+    with np.errstate(over="ignore", under="ignore"):
+        light, heavy = np.array([low, high]) ** gamma
+    if not math.isfinite(state.shape[1] * max(high, heavy)) or light == 0.0:
+        raise DomainError(
+            f"lottery weights leave the float range: powers run from {low!r} up to "
+            f"{high!r} and are weighted by exponent {gamma!r}"
+        )
+    return exponent, increment
 
 
 class Recorder(Protocol):
     """Observer of the stepping loop.
 
-    ``record`` sees the (seeds, nodes) power state at step ``t``, which is
-    the initial state at t = 0, and the winners of that step (None at
-    t = 0).  The state is updated in place, so a recorder copies what it
-    keeps.
+    ``record`` sees a block of consecutive (seeds, nodes) power states,
+    shaped (steps, seeds, nodes), whose first row is the state at step
+    ``t0``, and the (steps, seeds) winners of those steps.  The first call
+    has t0 = 0 and holds only the initial state, with winners None.  The
+    blocks are reused buffers, so a recorder copies what it keeps.
     """
 
-    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None: ...
+    def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None: ...
 
 
 # uniforms drawn per seed at a time; the stream of each seed's generator is
 # the same whatever the block, so results do not depend on it
 DRAW_BLOCK = 4096
+# steps of every seed buffered between calls to the recorders
+RECORD_BLOCK = 256
 
 
 def run_seeds(config: SimConfig, recorders: Sequence[Recorder]) -> np.ndarray:
-    """Advance every seed of the config through the horizon and pass each
-    step to the recorders; returns the final (seeds, nodes) power state.
+    """Advance every seed of the config through the horizon and pass the
+    states to the recorders, RECORD_BLOCK steps at a time; returns the
+    final (seeds, nodes) power state.
 
     Seeds are advanced in lockstep for speed, but each seed consumes only
     its own generator's uniform stream, drawn DRAW_BLOCK steps at a time,
@@ -246,33 +269,46 @@ def run_seeds(config: SimConfig, recorders: Sequence[Recorder]) -> np.ndarray:
     """
     n_seeds, horizon = len(config.seeds), config.horizon
     init = build_initial_powers(config.init, config.n_nodes)
-    if isinstance(config.model, PoS) and bool(np.any(init < config.model.s_b)):
-        raise DomainError("every stake must be >= s_b to run the lottery")
     state = np.tile(init, (n_seeds, 1))
+    exponent, increment = _lottery(config, state)
+    flat = state.reshape(-1)
+    offsets = np.arange(n_seeds) * config.n_nodes
+    index = np.empty(n_seeds, dtype=np.int64)
     rngs = [np.random.default_rng(seed) for seed in config.seeds]
     for recorder in recorders:
-        recorder.record(0, state, None)
-    t = 0
-    while t < horizon:
-        block = min(DRAW_BLOCK, horizon - t)
-        uniforms = np.empty((block, n_seeds))
+        recorder.record(0, state[None], None)
+    states = np.empty((min(RECORD_BLOCK, horizon), n_seeds, config.n_nodes))
+    winners = np.empty(states.shape[:2], dtype=np.int64)
+    done = 0
+    while done < horizon:
+        block = min(DRAW_BLOCK, horizon - done)
+        # (steps, seeds, 1), so that each step's draws scale a column
+        uniforms = np.empty((block, n_seeds, 1))
         for row, rng in enumerate(rngs):
-            uniforms[:, row] = rng.random(block)
+            uniforms[:, row, 0] = rng.random(block)
         for draws in uniforms:
-            winners = _advance(config.model, state, draws, config.reward)
-            t += 1
-            for recorder in recorders:
-                recorder.record(t, state, winners)
+            i = done % len(states)
+            weights = state if exponent is None else state**exponent
+            cum = np.add.accumulate(weights, axis=1)
+            np.add.reduce(cum <= draws * cum[:, -1:], axis=1, out=winners[i])
+            np.add(offsets, winners[i], out=index)
+            flat[index] += increment(index)
+            states[i] = state
+            done += 1
+            if i + 1 == len(states) or done == horizon:
+                for recorder in recorders:
+                    recorder.record(done - i, states[: i + 1], winners[: i + 1])
     return state
 
 
 def _fractions(state: np.ndarray) -> np.ndarray:
-    return state / state.sum(axis=1)[:, None]
+    """Power fractions along the last (node) axis."""
+    return state / state.sum(axis=-1)[..., None]
 
 
-def _power_ratios(state: np.ndarray, rank: int) -> np.ndarray:
-    """Max/percentile ratio of each row of powers."""
-    return state.max(axis=1) / np.sort(state, axis=1)[:, rank]
+def _ratios(values: np.ndarray, rank: int) -> np.ndarray:
+    """Max/percentile ratio along the last (node) axis."""
+    return values.max(axis=-1) / np.sort(values, axis=-1)[..., rank]
 
 
 class _TrajectoryRecorder:
@@ -284,11 +320,12 @@ class _TrajectoryRecorder:
         self.winners = np.full((n_seeds, horizon + 1), -1, dtype=np.int64)
         self.rank = rank
 
-    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
-        self.betas[:, t, :] = _fractions(state)
-        self.ratios[:, t] = _power_ratios(state, self.rank)
+    def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
+        stop = t0 + len(states)
+        self.betas[:, t0:stop] = _fractions(states).transpose(1, 0, 2)
+        self.ratios[:, t0:stop] = _ratios(states, self.rank).T
         if winners is not None:
-            self.winners[:, t] = winners
+            self.winners[:, t0:stop] = winners.T
 
 
 def simulate(config: SimConfig) -> list[Trajectory]:
@@ -316,11 +353,6 @@ def _check_window(window: int, horizon: int) -> None:
         raise DomainError(f"window must lie in [1, horizon={horizon}]")
 
 
-def _fraction_ratios(betas: np.ndarray, rank: int) -> np.ndarray:
-    """Max/percentile ratio of each row of fractions."""
-    return betas.max(axis=1) / np.sort(betas, axis=1)[:, rank]
-
-
 def ed_verdict(
     trajectories: list[Trajectory], epsilon: float, delta: float, window: int
 ) -> EdVerdict:
@@ -333,7 +365,7 @@ def ed_verdict(
     converged = 0
     finals = []
     for traj in trajectories:
-        ratio = _fraction_ratios(traj.betas[-window:], rank)
+        ratio = _ratios(traj.betas[-window:], rank)
         converged += bool(np.all(ratio <= 1.0 + epsilon))
         finals.append(ratio[-1])
     return EdVerdict(
@@ -356,10 +388,12 @@ class _FinalWindowRecorder:
         self.within = np.ones(len(config.seeds), dtype=bool)
         self.last = np.empty(len(config.seeds))
 
-    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
-        if t >= self.first:
-            self.last = _fraction_ratios(_fractions(state), self.rank)
-            self.within &= self.last <= self.limit
+    def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
+        tail = states[max(self.first - t0, 0):]
+        if len(tail):
+            ratios = _ratios(_fractions(tail), self.rank)
+            self.within &= (ratios <= self.limit).all(axis=0)
+            self.last = ratios[-1]
 
     def verdict(self) -> EdVerdict:
         return EdVerdict(
@@ -414,12 +448,14 @@ class MonotonicityStats:
 
 
 def _per_seed_slopes(series: np.ndarray) -> np.ndarray:
+    """Least-squares slope of each row; centres ``series`` in place."""
     steps = np.arange(series.shape[1], dtype=float)
     centered = steps - steps.mean()
     denom = float((centered**2).sum())
     if denom == 0.0:
         return np.zeros(series.shape[0])
-    return (series - series.mean(axis=1, keepdims=True)) @ centered / denom
+    series -= series.mean(axis=1, keepdims=True)
+    return series @ centered / denom
 
 
 def _slope_stats(mins: np.ndarray, maxs: np.ndarray) -> MonotonicityStats:
@@ -456,16 +492,18 @@ class _ExtremalFractionsRecorder:
         self.mins = np.empty((n_seeds, horizon + 1))
         self.maxs = np.empty((n_seeds, horizon + 1))
 
-    def record(self, t: int, state: np.ndarray, winners: np.ndarray | None) -> None:
-        if t == 0:
+    def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
+        if t0 == 0:
             # every seed starts from the same state
-            initial = _fractions(state)[0]
+            initial = _fractions(states[0, 0])
             self.col_min = int(np.argmin(initial))
             self.col_max = int(np.argmax(initial))
-        # the division _fractions does, for two columns only
-        totals = state.sum(axis=1)
-        np.divide(state[:, self.col_min], totals, out=self.mins[:, t])
-        np.divide(state[:, self.col_max], totals, out=self.maxs[:, t])
+        # the division _fractions does, for two columns only; each seed's
+        # steps t0.. are one contiguous row slice
+        totals = states.sum(axis=2)
+        stop = t0 + len(states)
+        np.divide(states[:, :, self.col_min], totals, out=self.mins[:, t0:stop].T)
+        np.divide(states[:, :, self.col_max], totals, out=self.maxs[:, t0:stop].T)
 
     def stats(self) -> MonotonicityStats:
         return _slope_stats(self.mins, self.maxs)

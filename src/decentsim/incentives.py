@@ -125,7 +125,8 @@ def utility(model: IncentiveModel, node_index: int, pv: PowerVector) -> float | 
 
     Returns None for a stake node below the participation minimum s_b;
     that node cannot run at all, which is a distinct outcome from earning
-    a negative profit.
+    a negative profit.  A utility outside the float range raises
+    DomainError.
     """
     powers = pv.powers
     if not 0 <= node_index < len(powers):
@@ -133,20 +134,24 @@ def utility(model: IncentiveModel, node_index: int, pv: PowerVector) -> float | 
     alpha = powers[node_index]
     total = pv.total()
     if isinstance(model, PoW):
-        return model.b_r * alpha / total - model.c1 * alpha - model.c2
-    if isinstance(model, PoS):
+        u = model.b_r * alpha / total - model.c1 * alpha - model.c2
+    elif isinstance(model, PoS):
         if alpha < model.s_b:
             return None
-        return model.b_r * alpha / total - model.c
-    if isinstance(model, DPoS):
+        u = model.b_r * alpha / total - model.c
+    elif isinstance(model, DPoS):
         elected = _dpos_elected(powers, model.n_dpos)
-        return (model.b_r - model.c) if node_index in elected else -model.c
-    if isinstance(model, GammaReward):
+        u = (model.b_r - model.c) if node_index in elected else -model.c
+    elif isinstance(model, GammaReward):
         weights = [p**model.gamma for p in powers]
-        return model.block_reward(total) * weights[node_index] / math.fsum(weights)
-    if isinstance(model, Linear):
-        return model.coefficient(total) * alpha
-    raise UnsupportedModelError(f"unknown incentive model {type(model).__name__}")
+        u = model.block_reward(total) * weights[node_index] / math.fsum(weights)
+    elif isinstance(model, Linear):
+        u = model.coefficient(total) * alpha
+    else:
+        raise UnsupportedModelError(f"unknown incentive model {type(model).__name__}")
+    if not math.isfinite(u):
+        raise DomainError(f"utility of node {node_index} is not finite: {u!r}")
+    return u
 
 
 def realized_utility(model: IncentiveModel, node_index: int, pv: PowerVector) -> float:

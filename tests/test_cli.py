@@ -3,9 +3,11 @@ import csv
 import dataclasses
 import io
 import json
+import tempfile
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from decentsim.cli import main, results_payload_bytes, run
 from decentsim.config import parse_config
 from decentsim.core import RewardParams
 from decentsim.dynamics import SimConfig, ed_verdict, monotonicity_stats, simulate
+from test_dynamics import replay_final_betas
 
 
 @pytest.fixture()
@@ -72,6 +75,15 @@ class TestCheckCommand:
         witness = results["nd"]["witness"]
         assert witness["merged_total"] - witness["separate_total"] == pytest.approx(1.0)
         assert results["ed"] == "deferred"
+
+    def test_non_finite_utility_exit_code(self, capsys):
+        # c1 * power overflows, so every utility is -inf
+        code = main([
+            "check", "--model", "pow", "--br", "12.5", "--c1", "1e300",
+            "--powers", "1e10,1e10", "--m", "2",
+        ])
+        assert code == 3
+        assert "DomainError: utility of node 0 is not finite" in capsys.readouterr().err
 
     def test_search_bound_exit_code(self, capsys):
         code = main([
@@ -234,6 +246,81 @@ class TestSimulateCommand:
         assert "converged_fraction" in results["ed"]
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gamma", "--br", "3", "--gamma", "400", "--r", "1", "--r_max", "3",
+         "--horizon", "50", "--n_nodes", "3", "--init", "power-law", "--init_exponent", "2"],
+        ["--model", "pow", "--br", "1e307", "--r_max", "1e307", "--horizon", "50",
+         "--n_nodes", "3", "--init", "power-law"],
+        # every weight underflows to 0 from the first step
+        ["--model", "gamma", "--br", "1", "--gamma", "400", "--r_max", "1", "--horizon", "5",
+         "--n_nodes", "2", "--init", "explicit", "--init_powers", "0.1,0.1"],
+    ])
+    def test_lottery_weight_overflow_exit_code(self, argv, capsys):
+        assert main(["simulate", *argv, "--seeds", "1"]) == 3
+        assert "DomainError: lottery weights leave the float range" in capsys.readouterr().err
+
+
+SANE = st.one_of(st.floats(1e-3, 20.0), st.sampled_from((0.0, 1.0, 3.0)))
+EXTREME = st.one_of(
+    st.sampled_from((0.0, 1e-300, 1e300, 400.0, -1.0)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def simulate_argv(draw):
+    n = draw(st.integers(1, 6))
+    horizon = draw(st.integers(0, 40))
+    flags = {
+        "model": draw(st.sampled_from(("pow", "pos", "gamma"))),
+        "horizon": horizon,
+        "n_nodes": n,
+        "init": draw(st.sampled_from(("explicit", "power-law", "two-point"))),
+        # duplicate seeds, and enough seeds for the slope statistics
+        "seeds": ",".join(map(str, draw(st.one_of(
+            st.lists(st.integers(0, 3), min_size=1, max_size=4), st.just(list(range(31))),
+        )))),
+        "window": draw(st.one_of(st.integers(0, horizon), st.integers(-1, 45))),
+    }
+    sane = {
+        "sb": st.sampled_from((0.0, 1e-3, 1.0)),
+        "r_max": st.floats(1e-3, 20.0),
+        "init_f": st.floats(1e-3, 1.0),
+        "delta": st.floats(0.0, 100.0),
+    }
+    # one number at most is extreme, so that most runs get past validation
+    extreme = draw(st.sampled_from(
+        ("br", "c1", "c2", "c", "r", "gamma", "init_exponent", "epsilon", *sane, None)
+    ))
+    for key in ("br", "c1", "c2", "c", "r", "gamma", "init_exponent", "epsilon", *sane):
+        flags[key] = repr(draw(EXTREME if key == extreme else sane.get(key, SANE)))
+    size = draw(st.sampled_from((n, n, n + 1)))
+    flags["init_powers"] = ",".join(map(repr, draw(st.lists(SANE, min_size=size, max_size=size))))
+    rich = draw(st.one_of(st.integers(1, max(n - 1, 1)), st.integers(0, n)))
+    flags["init_count_rich"], flags["init_count_poor"] = rich, n - rich
+    if draw(st.booleans()):
+        flags["trajectories_dir"] = "trajs"
+    # "--key=value", so that argparse reads a value such as -inf as a value
+    return ["simulate"] + [f"--{key}={value}" for key, value in flags.items()]
+
+
+class TestSimulateInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(simulate_argv())
+    def test_exits_cleanly(self, argv):
+        # every input either reports strict JSON or exits with a documented code
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setenv("DECENTSIM_OUT", tmp)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        else:
+            assert code in (2, 3, 4, 5, 6)
+            assert err.getvalue().split(":")[0].endswith("Error")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, field",
@@ -264,7 +351,8 @@ def reference_simulate(cfg):
     """The results and trajectory CSV bytes of a simulate config, computed
     from the full trajectories of ``simulate`` with ``ed_verdict``,
     ``monotonicity_stats`` and ``csv.writer``: the oracle of the streamed
-    ``_run_simulate``."""
+    ``_run_simulate``.  Each seed's final state is checked against a replay
+    by the scalar ``step``."""
     sim = SimConfig(
         model=cli.build_incentive_model(cfg),
         reward=RewardParams(r=cfg["r"], r_max=cfg["r_max"]),
@@ -277,6 +365,8 @@ def reference_simulate(cfg):
         window=cfg["window"] or None,
     )
     trajectories = simulate(sim)
+    for traj in trajectories:
+        assert np.array_equal(traj.betas[-1], replay_final_betas(sim, traj.seed))
     window = sim.effective_window() if sim.horizon else 1
     results = {
         "horizon": sim.horizon,
@@ -335,14 +425,38 @@ class TestStreamedSimulate:
         "work-lottery-csv": {
             "model": "pow", "br": 2.0, "c1": 0.1, "c2": 0.2, "r": 0.5, "r_max": 2.0,
             "n_nodes": 3, "init": "explicit", "init_powers": [3.0, 1.0, 2.0],
-            "horizon": 2 * cli.CSV_BLOCK + 37, "seeds": [8, 9, 8], "delta": 40.0,
+            "horizon": 2 * dynamics.RECORD_BLOCK + 37, "seeds": [8, 9, 8], "delta": 40.0,
             "trajectories_dir": "trajs",
+        },
+        # ten and thirteen nodes: row sums take numpy's pairwise path
+        "ten-nodes-off-both-blocks": {
+            "model": "gamma", "br": 0.2, "gamma": 1.5, "r": 1.0, "r_max": 0.2,
+            "n_nodes": 10, "init": "power-law", "init_exponent": 2.0,
+            "horizon": dynamics.DRAW_BLOCK + dynamics.RECORD_BLOCK + 3, "seeds": [3, 4],
+            "epsilon": 2.0, "trajectories_dir": "trajs",
+        },
+        # powers 1..13: the net reward clamps to r_max up to power 3 and
+        # to 0 from power 5 on
+        "work-clamped-both-ways": {
+            "model": "pow", "br": 3.0, "c1": 0.5, "c2": 0.5, "r": 0.5, "r_max": 1.0,
+            "n_nodes": 13, "init": "power-law", "init_exponent": -1.0, "horizon": 300,
+            "seeds": list(range(31)), "delta": 30.0, "trajectories_dir": "trajs",
+        },
+        "stake-lottery-ten-nodes": {
+            "model": "pos", "br": 1.0, "c": 0.2, "sb": 0.01, "r": 1.0, "r_max": 1.0,
+            "n_nodes": 10, "init": "two-point", "init_f": 0.1, "init_count_rich": 3,
+            "init_count_poor": 7, "horizon": 500, "seeds": [5, 6, 7], "window": 100,
+            "epsilon": 1.0, "trajectories_dir": "trajs",
         },
     }
 
+    @pytest.mark.parametrize("blocks", ["default", "record-1-draw-7"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_full_trajectory_report(self, case, tmp_path, monkeypatch):
+    def test_matches_full_trajectory_report(self, case, blocks, tmp_path, monkeypatch):
         monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
+        if blocks != "default":
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK", 1)
+            monkeypatch.setattr(dynamics, "DRAW_BLOCK", 7)
         cfg = parse_config("simulate", overrides=self.CASES[case])
         expected, files = reference_simulate(cfg)
         results = run(cfg)["results"]

@@ -37,6 +37,16 @@ def gamma_config(**kw):
     return SimConfig(**base)
 
 
+def replay_final_betas(config, seed):
+    """Final fractions of one seed of ``config``, advanced by ``step``."""
+    state = PowerVector(tuple(build_initial_powers(config.init, config.n_nodes)))
+    rng = np.random.default_rng(seed)
+    for _ in range(config.horizon):
+        state = step(state, config.model, config.reward, rng)
+    row = np.array([state.powers])
+    return (row / row.sum(axis=1)[:, None])[0]
+
+
 class TestStep:
     def test_outcomes_are_the_two_documented_states(self):
         rng = np.random.default_rng(0)
@@ -122,8 +132,8 @@ class TestSimulate:
         totals = []
 
         class Totals:
-            def record(self, t, state, winners):
-                totals.append(state.sum(axis=1))
+            def record(self, t0, states, winners):
+                totals.extend(states.sum(axis=2))
 
         dynamics.run_seeds(config, [Totals()])
         added = np.diff(np.stack(totals), axis=0)
@@ -337,10 +347,45 @@ class TestSummarize:
             seeds=(2, 6, 11),
             epsilon=3.0,
         ),
+        # ten and thirteen nodes: row sums take numpy's pairwise path
+        "ten-nodes-off-both-blocks": dict(
+            model=GammaReward(0.2, 0.7),
+            reward=RewardParams(1.0, 0.2),
+            n_nodes=10,
+            init=PowerLawInit(2.0),
+            horizon=dynamics.DRAW_BLOCK + dynamics.RECORD_BLOCK + 3,
+            seeds=(4, 5),
+            epsilon=2.0,
+        ),
+        # powers 1..13: the net reward clamps to r_max up to power 3 and
+        # to 0 from power 5 on
+        "work-clamped-both-ways": dict(
+            model=PoW(3.0, 0.5, 0.5),
+            reward=RewardParams(0.5, 1.0),
+            n_nodes=13,
+            init=PowerLawInit(-1.0),
+            horizon=300,
+            seeds=(1, 2, 3),
+            epsilon=5.0,
+            delta=30.0,
+        ),
+        "reward-schedule": dict(
+            model=GammaReward(0.0, 0.5, b_r_fn=lambda total: 30.0 / total),
+            reward=RewardParams(1.0, 2.0),
+            n_nodes=10,
+            init=PowerLawInit(1.0),
+            horizon=200,
+            seeds=(0, 3),
+            epsilon=1.0,
+        ),
     }
 
+    @pytest.mark.parametrize("blocks", ["default", "record-1-draw-7"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_ed_verdict_on_full_trajectories(self, case):
+    def test_matches_ed_verdict_on_full_trajectories(self, case, blocks, monkeypatch):
+        if blocks != "default":
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK", 1)
+            monkeypatch.setattr(dynamics, "DRAW_BLOCK", 7)
         config = gamma_config(**self.CASES[case])
         trajs = simulate(config)
         expected = ed_verdict(
@@ -353,6 +398,8 @@ class TestSummarize:
             _final_fraction_ratio(t.betas[-1], config.delta) for t in trajs
         ]
         assert summary.verdict == expected
+        for betas, seed in zip(summary.final_betas, config.seeds):
+            assert np.array_equal(betas, replay_final_betas(config, seed))
 
     def test_window_bounds(self):
         with pytest.raises(DomainError):
@@ -360,17 +407,24 @@ class TestSummarize:
         with pytest.raises(DomainError):
             summarize(gamma_config(horizon=10, window=11))
 
-    def test_extra_recorders_see_every_step(self):
+    def test_extra_recorders_see_every_step(self, monkeypatch):
         class Steps:
             def __init__(self):
                 self.seen = []
 
-            def record(self, t, state, winners):
-                self.seen.append((t, winners is None, state.shape))
+            def record(self, t0, states, winners):
+                shapes = None if winners is None else winners.shape
+                self.seen.append((t0, states.shape, shapes))
 
+        monkeypatch.setattr(dynamics, "RECORD_BLOCK", 5)
         steps = Steps()
         summarize(gamma_config(horizon=12, seeds=(0, 1, 2)), [steps])
-        assert steps.seen == [(t, t == 0, (3, 2)) for t in range(13)]
+        assert steps.seen == [
+            (0, (1, 3, 2), None),
+            (1, (5, 3, 2), (5, 3)),
+            (6, (5, 3, 2), (5, 3)),
+            (11, (2, 3, 2), (2, 3)),
+        ]
 
     def test_memory_does_not_grow_with_horizon(self):
         def peak_bytes(horizon):
