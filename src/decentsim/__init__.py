@@ -29,7 +29,6 @@ from .incentives import (
     ThresholdCoverSybilCost,
     ZeroSybilCost,
     realized_utility,
-    sample_reward,
     sybil_cost,
     utility,
 )
@@ -62,7 +61,6 @@ from .bound import (
     estimate_g,
     exact_g,
     jump_prob,
-    p0_fraction,
     poor_win_prob,
     real_world_anchors,
     sweep,

@@ -399,6 +399,10 @@ def exact_g(params: WalkParams) -> BoundEstimate:
     if params.strategy == "max-step":
         raise DomainError("exact_g covers the micro and hybrid strategies only")
     if 1.0 / params.f <= 1.0 + params.epsilon:
+        # the per-line table alone holds k_max + 1 cells
+        if params.k_max + 1 > params.budget:
+            raise BudgetError(f"k_max+1 = {params.k_max + 1:.3g} exact DP cells exceed "
+                              f"budget {params.budget:.3g}")
         return replace(_trivial_estimate(params), samples=0)
     _check_climb_range(params)
     cells = (params.k_max + 1) * _climbs_needed(params, 1.0 + params.k_max * params.rho)
@@ -444,17 +448,6 @@ def compute_g(params: WalkParams) -> BoundEstimate:
     """The catch-up bound: exact for the micro and hybrid walks, and the
     Monte Carlo estimate for max-step, which has no exact path."""
     return estimate_g(params) if params.strategy == "max-step" else exact_g(params)
-
-
-def p0_fraction(params: WalkParams) -> tuple[float, float]:
-    """Monte Carlo success mass with zero rich gains and its standard error.
-
-    For rho <= 1 its jump part per_k[0] is at most (1 + epsilon) * f, as
-    (rho - 1)(R_0 - 1) <= 0; p0 adds line 0's dense climbs and can exceed
-    it: exactly 1.1155e-6 at f = 1e-6, rho = 0.9, epsilon = 0, u = 1e-3.
-    """
-    result = estimate_g(params)
-    return result.p0, result.p0_std_error
 
 
 @dataclass(frozen=True)

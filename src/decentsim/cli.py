@@ -35,7 +35,6 @@ from .dynamics import (
     _ExtremalFractionsRecorder,
     _FinalWindowRecorder,
     _fractions,
-    _nearest_rank_index,
     _ratios,
     run_seeds,
 )
@@ -47,16 +46,7 @@ from .errors import (
     StructuralError,
     UnsupportedModelError,
 )
-from .incentives import (
-    DPoS,
-    GammaReward,
-    IncentiveModel,
-    Linear,
-    PoS,
-    PoW,
-    ThresholdCoverSybilCost,
-    ZeroSybilCost,
-)
+from .incentives import MODELS, IncentiveModel, ThresholdCoverSybilCost, ZeroSybilCost
 from .metrics import load_producer_csv, report as metrics_report
 
 EXIT_CODES = {
@@ -82,18 +72,8 @@ def _resolve_path(raw: str) -> Path:
 
 
 def build_incentive_model(cfg: RunConfig) -> IncentiveModel:
-    name = cfg["model"]
-    if name == "pow":
-        return PoW(b_r=cfg["br"], c1=cfg["c1"], c2=cfg["c2"])
-    if name == "pos":
-        return PoS(b_r=cfg["br"], c=cfg["c"], s_b=cfg["sb"])
-    if name == "dpos":
-        return DPoS(b_r=cfg["br"], c=cfg["c"], n_dpos=cfg["ndpos"])
-    if name == "gamma":
-        return GammaReward(b_r=cfg["br"], gamma=cfg["gamma"])
-    if name == "linear":
-        return Linear(kind=cfg["kind"], k=cfg["k"])
-    raise ConfigError(f"unknown model '{name}'")
+    model = MODELS[cfg["model"]]
+    return model(**{field: cfg[key] for key, field in model.KEYS.items()})
 
 
 def _build_init(cfg: RunConfig):
@@ -114,13 +94,13 @@ class _TrajectoryCsvWriter:
     ``trajectory_<seed>.csv``, one appended block of steps per ``record``,
     with the bytes ``csv.writer`` gives for rows of ``repr`` floats."""
 
-    def __init__(self, out_dir: Path, sim: SimConfig, rank: int) -> None:
+    def __init__(self, out_dir: Path, sim: SimConfig) -> None:
         self.out_dir = out_dir
         # a seed listed twice gets one file
         self.paths = {
             out_dir / f"trajectory_{seed}.csv": row for row, seed in enumerate(sim.seeds)
         }
-        self.rank = rank
+        self.delta = sim.delta
         self.header = ",".join(
             ["step", "ratio"] + [f"beta_{i + 1}" for i in range(sim.n_nodes)]
         ) + "\r\n"
@@ -130,7 +110,7 @@ class _TrajectoryCsvWriter:
         if first:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         table = np.concatenate(
-            [_ratios(states, self.rank)[..., None], _fractions(states)], axis=2
+            [_ratios(states, self.delta)[..., None], _fractions(states)], axis=2
         )
         steps = range(t0, t0 + len(states))
         for path, row in self.paths.items():
@@ -154,14 +134,13 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
         delta=cfg["delta"],
         window=cfg["window"] or None,
     )
-    rank = _nearest_rank_index(sim.n_nodes, sim.delta)
     tail = _FinalWindowRecorder(sim) if sim.horizon else None
     extremal = (
         _ExtremalFractionsRecorder(len(sim.seeds), sim.horizon)
         if len(sim.seeds) >= 30 else None
     )
     out_dir = _resolve_path(cfg["trajectories_dir"]) if cfg["trajectories_dir"] else None
-    csv_writer = _TrajectoryCsvWriter(out_dir, sim, rank) if out_dir is not None else None
+    csv_writer = _TrajectoryCsvWriter(out_dir, sim) if out_dir is not None else None
     state = run_seeds(sim, [r for r in (tail, extremal, csv_writer) if r is not None])
     results: dict[str, Any] = {
         "horizon": sim.horizon,
@@ -169,7 +148,7 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
         "per_seed": [
             {"seed": seed, "final_ratio": ratio, "final_betas": betas}
             for seed, ratio, betas in zip(
-                sim.seeds, _ratios(state, rank).tolist(), _fractions(state).tolist()
+                sim.seeds, _ratios(state, sim.delta).tolist(), _fractions(state).tolist()
             )
         ],
     }
@@ -223,38 +202,29 @@ def _run_bound(cfg: RunConfig) -> dict[str, Any]:
     return results
 
 
-def _write_sweep_csv(path: Path, rows: list[SweepRow]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["f", "epsilon", "rho", "estimate", "ci_low", "ci_high"])
-        for row in rows:
-            writer.writerow(
-                [repr(row.f), repr(row.epsilon), repr(row.rho),
-                 repr(row.estimate), repr(row.ci_low), repr(row.ci_high)]
-            )
-
-
-def _run_sweep(cfg: RunConfig) -> dict[str, Any]:
-    base = _walk_params(cfg, cfg["f_grid"][0], cfg["rho_grid"][0], cfg["epsilon_grid"][0])
-    rows = sweep(list(cfg["f_grid"]), list(cfg["epsilon_grid"]), list(cfg["rho_grid"]), base)
-    results: dict[str, Any] = {"rows": [dataclasses.asdict(row) for row in rows]}
-    if cfg["csv_out"]:
-        path = _resolve_path(cfg["csv_out"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_sweep_csv(path, rows)
-        results["csv_path"] = str(path)
-    return results
-
-
-def _write_metrics_csv(path: Path, levels) -> None:
-    header, row = [], []
-    for level in levels:
-        header += [f"addresses_{level.share}", f"gini_{level.share}", f"entropy_{level.share}"]
-        row += [level.addresses, repr(level.gini), repr(level.entropy_bits)]
+def _write_csv(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
+    """Write a table to the configured ``csv_out``; returns its path."""
+    path = _resolve_path(cfg["csv_out"])
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerow(row)
+        writer.writerows(rows)
+    return str(path)
+
+
+def _run_sweep(cfg: RunConfig) -> dict[str, Any]:
+    f_grid, epsilon_grid, rho_grid = (list(cfg[f"{n}_grid"]) for n in ("f", "epsilon", "rho"))
+    if not (f_grid and epsilon_grid and rho_grid):
+        raise DomainError("sweep grids must be non-empty")
+    base = _walk_params(cfg, f_grid[0], rho_grid[0], epsilon_grid[0])
+    rows = sweep(f_grid, epsilon_grid, rho_grid, base)
+    results: dict[str, Any] = {"rows": [dataclasses.asdict(row) for row in rows]}
+    if cfg["csv_out"]:
+        header = [field.name for field in dataclasses.fields(SweepRow)]
+        table = [[repr(value) for value in dataclasses.astuple(row)] for row in rows]
+        results["csv_path"] = _write_csv(cfg, header, table)
+    return results
 
 
 def _run_metrics(cfg: RunConfig) -> dict[str, Any]:
@@ -264,10 +234,11 @@ def _run_metrics(cfg: RunConfig) -> dict[str, Any]:
         "levels": [dataclasses.asdict(level) for level in rep.levels]
     }
     if cfg["csv_out"]:
-        path = _resolve_path(cfg["csv_out"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_metrics_csv(path, rep.levels)
-        results["csv_path"] = str(path)
+        header, row = [], []
+        for level in rep.levels:
+            header += [f"addresses_{level.share}", f"gini_{level.share}", f"entropy_{level.share}"]
+            row += [level.addresses, repr(level.gini), repr(level.entropy_bits)]
+        results["csv_path"] = _write_csv(cfg, header, [row])
     return results
 
 

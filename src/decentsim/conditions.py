@@ -24,15 +24,7 @@ import numpy as np
 
 from .core import PlayerMap, PowerVector, effective_powers, percentile_power
 from .errors import DomainError, SearchBoundError
-from .incentives import (
-    IncentiveModel,
-    Linear,
-    PoS,
-    SybilCostModel,
-    realized_utility,
-    sybil_cost,
-    utility,
-)
+from .incentives import IncentiveModel, SybilCostModel, realized_utility, sybil_cost, utility
 
 REL_TOL = 1e-9
 DEFAULT_GRID = 20
@@ -367,9 +359,4 @@ def check_all(
     gr = check_gr(model, pv, m)
     nd = check_nd(model, pv, pm, m, grid=grid, max_nodes=max_nodes)
     ns = check_ns(model, sybil, pv, pm, delta, grid=grid, max_parts=max_nodes)
-    notes = []
-    if isinstance(model, PoS) and any(p < model.s_b for p in pv.powers):
-        notes.append("some stakes are below the participation minimum")
-    if isinstance(model, Linear):
-        notes.append("linear family: merge and split totals are invariant")
-    return ConditionReport(gr=gr, nd=nd, ns=ns, notes=tuple(notes))
+    return ConditionReport(gr=gr, nd=nd, ns=ns, notes=model.notes(pv.powers))

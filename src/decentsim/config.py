@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
+from .incentives import MODELS, Linear
 
 REQUIRED = object()
 
@@ -66,7 +67,7 @@ def _coerce(key: Key, value: Any) -> Any:
             return tuple(caster(p) for p in parts)
     except ConfigError:
         raise
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int("inf") overflows
         pass
     raise ConfigError(
         f"config key '{key.name}' expects {key.kind}, got {value!r}"
@@ -78,8 +79,7 @@ SHARED_KEYS = [
 ]
 
 MODEL_KEYS = [
-    Key("model", "str", choices=("pow", "pos", "dpos", "gamma", "linear"),
-        help="incentive model variant"),
+    Key("model", "str", choices=tuple(MODELS), help="incentive model variant"),
     Key("br", "float", default=0.0, help="block reward per time unit"),
     Key("c1", "float", default=0.0, help="cost per power unit (pow)"),
     Key("c2", "float", default=0.0, help="fixed node cost (pow)"),
@@ -87,7 +87,7 @@ MODEL_KEYS = [
     Key("sb", "float", default=0.0, help="minimum stake to run a node (pos)"),
     Key("ndpos", "int", default=1, help="number of elected producers (dpos)"),
     Key("gamma", "float", default=0.5, help="lottery weight exponent (gamma)"),
-    Key("kind", "str", default="inverse-total", choices=("constant", "inverse-total"),
+    Key("kind", "str", default="inverse-total", choices=Linear.KINDS,
         help="linear coefficient form (linear)"),
     Key("k", "float", default=1.0, help="linear coefficient scale (linear)"),
 ]
@@ -104,15 +104,15 @@ WALK_KEYS = [
         help="cap on samples * k_max (max-step) or on exact DP cells (micro, hybrid)"),
 ]
 
+# simulate takes the lottery models only, and their keys, with br required
+LOTTERIES = tuple(name for name, model in MODELS.items() if model.LOTTERY)
+LOTTERY_KEYS = {key for name in LOTTERIES for key in MODELS[name].KEYS} - {"br"}
+
 SCHEMAS: dict[str, list[Key]] = {
     "simulate": SHARED_KEYS + [
-        Key("model", "str", choices=("pow", "pos", "gamma")),
-        Key("br", "float"),
-        Key("c1", "float", default=0.0),
-        Key("c2", "float", default=0.0),
-        Key("c", "float", default=0.0),
-        Key("sb", "float", default=0.0),
-        Key("gamma", "float", default=0.5),
+        Key("model", "str", choices=LOTTERIES, help="lottery model variant"),
+        Key("br", "float", help="block reward per time unit"),
+    ] + [key for key in MODEL_KEYS if key.name in LOTTERY_KEYS] + [
         Key("r", "float", default=1.0, help="reinvestment rate"),
         Key("r_max", "float", help="cap on per-step net reward"),
         Key("horizon", "int"),

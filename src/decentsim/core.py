@@ -53,10 +53,6 @@ class PlayerMap:
     def __len__(self) -> int:
         return len(self.owners)
 
-    def players(self) -> tuple[str, ...]:
-        """Distinct players in first-appearance order."""
-        return tuple(dict.fromkeys(self.owners))
-
 
 @dataclass(frozen=True)
 class DecentralizationSpec:
@@ -120,20 +116,20 @@ def effective_powers(pv: PowerVector, pm: PlayerMap) -> dict[str, float]:
     return {owner: math.fsum(parts) for owner, parts in grouped.items()}
 
 
-def percentile_power(values: list[float], delta: float) -> float:
-    """Nearest-rank percentile of a non-empty list of positive values.
+def nearest_rank_index(n: int, delta: float) -> int:
+    """0-based position of the nearest-rank delta-th percentile among n
+    sorted values: the ceil(delta/100 * n)-th smallest, clamped to [1, n],
+    so delta=0 picks the minimum and delta=100 the maximum."""
+    return min(max(math.ceil(delta / 100.0 * n), 1), n) - 1
 
-    delta=0 returns the minimum and delta=100 the maximum; in between, the
-    ceil(delta/100 * n)-th smallest value (1-based) of the sorted list.
-    """
+
+def percentile_power(values: list[float], delta: float) -> float:
+    """Nearest-rank percentile of a non-empty list of positive values."""
     if not values:
         raise DomainError("percentile of an empty list is undefined")
     if not 0 <= delta <= 100:
         raise DomainError("delta must lie in [0, 100]")
-    ordered = sorted(values)
-    rank = math.ceil(delta / 100.0 * len(ordered))
-    rank = min(max(rank, 1), len(ordered))
-    return ordered[rank - 1]
+    return sorted(values)[nearest_rank_index(len(values), delta)]
 
 
 def is_decentralized(

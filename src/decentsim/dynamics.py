@@ -17,17 +17,9 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .core import PowerVector, RewardParams
+from .core import PowerVector, RewardParams, nearest_rank_index
 from .errors import DomainError, UnsupportedModelError
-from .incentives import (
-    LOTTERY_MODELS,
-    GammaReward,
-    IncentiveModel,
-    PoS,
-    PoW,
-    block_reward,
-    lottery_weights,
-)
+from .incentives import IncentiveModel, PoS, PoW, block_reward, lottery_weights
 
 
 @dataclass(frozen=True)
@@ -76,7 +68,8 @@ def build_initial_powers(init: InitSpec, n_nodes: int) -> np.ndarray:
                 f"explicit init has {powers.size} powers but n_nodes is {n_nodes}"
             )
     elif isinstance(init, PowerLawInit):
-        powers = (np.arange(1, n_nodes + 1, dtype=float)) ** (-init.exponent)
+        with np.errstate(over="ignore"):
+            powers = np.arange(1, n_nodes + 1, dtype=float) ** -init.exponent
     elif isinstance(init, TwoPointInit):
         if init.count_rich + init.count_poor != n_nodes:
             raise DomainError(
@@ -88,6 +81,8 @@ def build_initial_powers(init: InitSpec, n_nodes: int) -> np.ndarray:
         )
     else:
         raise DomainError(f"unknown init spec {type(init).__name__}")
+    if not np.all(np.isfinite(powers)):
+        raise DomainError("initial powers must be finite")
     if np.any(powers <= 0):
         raise DomainError("all initial powers must be strictly positive")
     return powers
@@ -114,7 +109,7 @@ class SimConfig:
             raise DomainError("at least one seed is required")
         if any(s < 0 for s in self.seeds):
             raise DomainError("seeds must be non-negative integers")
-        if not isinstance(self.model, LOTTERY_MODELS):
+        if not self.model.LOTTERY:
             raise UnsupportedModelError(
                 f"{type(self.model).__name__} has no block lottery to simulate"
             )
@@ -153,11 +148,6 @@ class Trajectory:
         return self.betas.shape[1]
 
 
-def _nearest_rank_index(n: int, delta: float) -> int:
-    rank = math.ceil(delta / 100.0 * n)
-    return min(max(rank, 1), n) - 1
-
-
 def step(
     state: PowerVector,
     model: IncentiveModel,
@@ -171,12 +161,12 @@ def step(
     the batched ``run_seeds`` kernel, as the reference that kernel is
     tested against.
     """
-    if not isinstance(model, LOTTERY_MODELS):
+    if not model.LOTTERY:
         raise UnsupportedModelError(
             f"{type(model).__name__} has no block lottery to simulate"
         )
     powers = np.array(state.powers, dtype=float)
-    if isinstance(model, PoS) and bool(np.any(powers < model.s_b)):
+    if bool(np.any(powers < model.s_b)):
         raise DomainError("every stake must be >= s_b to run the lottery")
     cum = np.add.accumulate(lottery_weights(model, powers))
     winner = int((cum <= rng.random() * cum[-1]).sum())
@@ -194,36 +184,15 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float | None, Callab
     """What stays constant through a run over ``state``: the weight exponent
     (None where the weights are the powers) and the winner's increment
     r · clamp(net reward, 0, r_max) as a function of the winners' indices
-    into the flattened state.  Powers never shrink and grow by at most the
-    largest increment per step, so a run whose weights could overflow, or
-    start all at 0, is refused here: its lottery would have no winner."""
+    into the flattened state, one float where the net reward depends on
+    neither.  Powers never shrink and grow by at most the largest increment
+    per step, so a run whose weights could overflow, or start all at 0, is
+    refused here: its lottery would have no winner."""
     model, reward = config.model, config.reward
-    if isinstance(model, PoS) and bool(np.any(state < model.s_b)):
+    if bool(np.any(state < model.s_b)):
         raise DomainError("every stake must be >= s_b to run the lottery")
-    flat = state.reshape(-1)
-    if isinstance(model, PoW):
-        largest = min(max(model.b_r - model.c2, 0.0), reward.r_max)
-
-        def increment(index):
-            gross = model.b_r - model.c1 * flat[index] - model.c2
-            return reward.r * np.clip(gross, 0.0, reward.r_max)
-
-    elif isinstance(model, GammaReward) and model.b_r_fn is not None:
-        largest = reward.r_max
-
-        def increment(index):
-            gross = np.array([model.block_reward(total) for total in state.sum(axis=1)])
-            return reward.r * np.clip(gross, 0.0, reward.r_max)
-
-    else:
-        b_r = model.b_r - model.c if isinstance(model, PoS) else model.b_r
-        largest = min(max(b_r, 0.0), reward.r_max)
-        fixed = reward.r * largest
-
-        def increment(index):
-            return fixed
-
-    exponent = model.gamma if isinstance(model, GammaReward) else None
+    largest = min(max(model.max_net_reward(), 0.0), reward.r_max)
+    exponent = model.weight_exponent()
     gamma = 1.0 if exponent is None else exponent
     low = float(state.max())
     high = low + config.horizon * (reward.r * largest)
@@ -234,6 +203,17 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float | None, Callab
             f"lottery weights leave the float range: powers run from {low!r} up to "
             f"{high!r} and are weighted by exponent {gamma!r}"
         )
+    flat = state.reshape(-1)
+    # asked for no winners, a net reward that depends on neither the winners
+    # nor the state is still one float
+    net = model.net_reward(flat[:0], state[:0])
+    if np.ndim(net) == 0:
+        fixed = reward.r * min(max(net, 0.0), reward.r_max)
+        return exponent, lambda index: fixed
+
+    def increment(index):
+        return reward.r * np.clip(model.net_reward(flat[index], state), 0.0, reward.r_max)
+
     return exponent, increment
 
 
@@ -306,24 +286,26 @@ def _fractions(state: np.ndarray) -> np.ndarray:
     return state / state.sum(axis=-1)[..., None]
 
 
-def _ratios(values: np.ndarray, rank: int) -> np.ndarray:
-    """Max/percentile ratio along the last (node) axis."""
+def _ratios(values: np.ndarray, delta: float) -> np.ndarray:
+    """Max/percentile ratio along the last (node) axis, the percentile
+    nearest-rank."""
+    rank = nearest_rank_index(values.shape[-1], delta)
     return values.max(axis=-1) / np.sort(values, axis=-1)[..., rank]
 
 
 class _TrajectoryRecorder:
     """Keeps every step: fractions, power ratio and winner."""
 
-    def __init__(self, n_seeds: int, horizon: int, n_nodes: int, rank: int) -> None:
+    def __init__(self, n_seeds: int, horizon: int, n_nodes: int, delta: float) -> None:
         self.betas = np.empty((n_seeds, horizon + 1, n_nodes))
         self.ratios = np.empty((n_seeds, horizon + 1))
         self.winners = np.full((n_seeds, horizon + 1), -1, dtype=np.int64)
-        self.rank = rank
+        self.delta = delta
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
         stop = t0 + len(states)
         self.betas[:, t0:stop] = _fractions(states).transpose(1, 0, 2)
-        self.ratios[:, t0:stop] = _ratios(states, self.rank).T
+        self.ratios[:, t0:stop] = _ratios(states, self.delta).T
         if winners is not None:
             self.winners[:, t0:stop] = winners.T
 
@@ -331,8 +313,7 @@ class _TrajectoryRecorder:
 def simulate(config: SimConfig) -> list[Trajectory]:
     """Run every seed of the config and record full per-step statistics."""
     n_seeds = len(config.seeds)
-    rank = _nearest_rank_index(config.n_nodes, config.delta)
-    full = _TrajectoryRecorder(n_seeds, config.horizon, config.n_nodes, rank)
+    full = _TrajectoryRecorder(n_seeds, config.horizon, config.n_nodes, config.delta)
     run_seeds(config, [full])
     return [
         Trajectory(
@@ -361,11 +342,10 @@ def ed_verdict(
     if not trajectories:
         raise DomainError("at least one trajectory is required")
     _check_window(window, trajectories[0].horizon)
-    rank = _nearest_rank_index(trajectories[0].n_nodes, delta)
     converged = 0
     finals = []
     for traj in trajectories:
-        ratio = _ratios(traj.betas[-window:], rank)
+        ratio = _ratios(traj.betas[-window:], delta)
         converged += bool(np.all(ratio <= 1.0 + epsilon))
         finals.append(ratio[-1])
     return EdVerdict(
@@ -384,14 +364,14 @@ class _FinalWindowRecorder:
         _check_window(self.window, config.horizon)
         self.first = config.horizon - self.window + 1
         self.limit = 1.0 + config.epsilon
-        self.rank = _nearest_rank_index(config.n_nodes, config.delta)
+        self.delta = config.delta
         self.within = np.ones(len(config.seeds), dtype=bool)
         self.last = np.empty(len(config.seeds))
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
         tail = states[max(self.first - t0, 0):]
         if len(tail):
-            ratios = _ratios(_fractions(tail), self.rank)
+            ratios = _ratios(_fractions(tail), self.delta)
             self.within &= (ratios <= self.limit).all(axis=0)
             self.last = ratios[-1]
 

@@ -1,10 +1,11 @@
 """Concrete utility and reward families plus multi-node cost models.
 
 Every model exposes an expected net profit per time unit through
-``utility``.  The lottery families (work-weighted, stake-weighted and the
-exponent-weighted family) additionally support drawing one block winner
-per time unit through ``sample_reward``; the empirical mean of those
-draws converges to ``utility``.
+``utility``, from the per-node formula the model class carries.  The
+lottery families (work-weighted, stake-weighted and the exponent-weighted
+family) also carry what the simulator needs to draw one block winner per
+time unit: the weight exponent and the winner's net reward.  ``MODELS``
+names every family and, through each class's ``KEYS``, its config keys.
 """
 
 from __future__ import annotations
@@ -16,11 +17,45 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import PowerVector
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError
+
+
+class _Model:
+    """Shared by every incentive model: a node needs power at least s_b to
+    run (0 outside the stake lottery), and there is no block lottery."""
+
+    s_b = 0.0
+    LOTTERY = False
+
+    def notes(self, powers: Sequence[float]) -> tuple[str, ...]:
+        """Remarks a condition report on these powers carries."""
+        if any(p < self.s_b for p in powers):
+            return ("some stakes are below the participation minimum",)
+        return ()
+
+
+class _Lottery(_Model):
+    """One block winner per time unit, drawn with probability
+    weight / sum(weights), weights = powers ** weight_exponent() (the powers
+    themselves where that is None).  ``net_reward(powers, state)`` is the
+    net reward of winners of the given powers, one per row of the (seeds,
+    nodes) ``state``, and one float where it depends on neither;
+    ``max_net_reward()`` is its largest value."""
+
+    LOTTERY = True
+
+    def weight_exponent(self) -> float | None:
+        return None
+
+    def block_reward(self, total_power: float) -> float:
+        return self.b_r
+
+    def net_reward(self, powers: np.ndarray, state: np.ndarray):
+        return self.max_net_reward()
 
 
 @dataclass(frozen=True)
-class PoW:
+class PoW(_Lottery):
     """Work lottery: block reward split pro rata, power-proportional cost
     c1 per power unit plus fixed per-node cost c2."""
 
@@ -28,24 +63,43 @@ class PoW:
     c1: float = 0.0
     c2: float = 0.0
 
+    KEYS = {"br": "b_r", "c1": "c1", "c2": "c2"}
+
     def __post_init__(self) -> None:
         _check_nonneg(b_r=self.b_r, c1=self.c1, c2=self.c2)
 
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+        return self.b_r * powers[index] / total - self.c1 * powers[index] - self.c2
+
+    def net_reward(self, powers: np.ndarray, state: np.ndarray) -> np.ndarray:
+        return self.b_r - self.c1 * powers - self.c2
+
+    def max_net_reward(self) -> float:
+        return self.b_r - self.c2
+
 
 @dataclass(frozen=True)
-class PoS:
+class PoS(_Lottery):
     """Stake lottery with fixed node cost c and minimum stake s_b to run."""
 
     b_r: float
     c: float = 0.0
     s_b: float = 0.0
 
+    KEYS = {"br": "b_r", "c": "c", "sb": "s_b"}
+
     def __post_init__(self) -> None:
         _check_nonneg(b_r=self.b_r, c=self.c, s_b=self.s_b)
 
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+        return self.b_r * powers[index] / total - self.c
+
+    def max_net_reward(self) -> float:
+        return self.b_r - self.c
+
 
 @dataclass(frozen=True)
-class DPoS:
+class DPoS(_Model):
     """Elected producers: the n_dpos largest nodes earn b_r - c, the rest -c.
 
     Ties at the boundary are broken in favour of the lower node index.
@@ -55,14 +109,21 @@ class DPoS:
     c: float = 0.0
     n_dpos: int = 1
 
+    KEYS = {"br": "b_r", "c": "c", "ndpos": "n_dpos"}
+
     def __post_init__(self) -> None:
         _check_nonneg(b_r=self.b_r, c=self.c)
         if self.n_dpos < 1:
             raise DomainError("n_dpos must be a positive integer")
 
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+        # stable sort keeps the lower index on ties
+        order = sorted(range(len(powers)), key=lambda i: -powers[i])
+        return (self.b_r - self.c) if index in order[: self.n_dpos] else -self.c
+
 
 @dataclass(frozen=True)
-class GammaReward:
+class GammaReward(_Lottery):
     """Lottery weighted by power**gamma; gamma=0.5 rewards the square root
     of power, gamma=1 is proportional.
 
@@ -74,21 +135,39 @@ class GammaReward:
     gamma: float
     b_r_fn: Callable[[float], float] | None = None
 
+    KEYS = {"br": "b_r", "gamma": "gamma"}
+
     def __post_init__(self) -> None:
         _check_nonneg(b_r=self.b_r, gamma=self.gamma)
 
     def block_reward(self, total_power: float) -> float:
         return self.b_r if self.b_r_fn is None else float(self.b_r_fn(total_power))
 
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+        weights = [p**self.gamma for p in powers]
+        return self.block_reward(total) * weights[index] / math.fsum(weights)
+
+    def weight_exponent(self) -> float:
+        return self.gamma
+
+    def net_reward(self, powers: np.ndarray, state: np.ndarray):
+        if self.b_r_fn is None:
+            return self.b_r
+        return np.array([self.block_reward(total) for total in state.sum(axis=1)])
+
+    def max_net_reward(self) -> float:
+        return self.b_r if self.b_r_fn is None else math.inf
+
 
 @dataclass(frozen=True)
-class Linear:
+class Linear(_Model):
     """Utility F(total) * power with F either the constant k or k/total."""
 
     kind: str
     k: float
 
     KINDS = ("constant", "inverse-total")
+    KEYS = {"kind": "kind", "k": "k"}
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
@@ -98,12 +177,17 @@ class Linear:
         if not self.k > 0:
             raise DomainError("linear coefficient k must be > 0")
 
-    def coefficient(self, total_power: float) -> float:
-        return self.k if self.kind == "constant" else self.k / total_power
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+        return (self.k if self.kind == "constant" else self.k / total) * powers[index]
+
+    def notes(self, powers: Sequence[float]) -> tuple[str, ...]:
+        return ("linear family: merge and split totals are invariant",)
 
 
 IncentiveModel = PoW | PoS | DPoS | GammaReward | Linear
-LOTTERY_MODELS = (PoW, PoS, GammaReward)
+MODELS: dict[str, type] = {
+    "pow": PoW, "pos": PoS, "dpos": DPoS, "gamma": GammaReward, "linear": Linear,
+}
 
 
 def _check_nonneg(**params: float) -> None:
@@ -114,41 +198,19 @@ def _check_nonneg(**params: float) -> None:
             raise DomainError(f"{name} must be >= 0, got {value}")
 
 
-def _dpos_elected(powers: Sequence[float], n_dpos: int) -> set[int]:
-    # stable sort keeps the lower index on ties
-    order = sorted(range(len(powers)), key=lambda i: -powers[i])
-    return set(order[: min(n_dpos, len(powers))])
-
-
 def utility(model: IncentiveModel, node_index: int, pv: PowerVector) -> float | None:
     """Expected net profit per time unit of one node.
 
-    Returns None for a stake node below the participation minimum s_b;
-    that node cannot run at all, which is a distinct outcome from earning
-    a negative profit.  A utility outside the float range raises
-    DomainError.
+    Returns None for a node below the participation minimum s_b; that node
+    cannot run at all, which is a distinct outcome from earning a negative
+    profit.  A utility outside the float range raises DomainError.
     """
     powers = pv.powers
     if not 0 <= node_index < len(powers):
         raise DomainError(f"node index {node_index} out of range for {len(powers)} nodes")
-    alpha = powers[node_index]
-    total = pv.total()
-    if isinstance(model, PoW):
-        u = model.b_r * alpha / total - model.c1 * alpha - model.c2
-    elif isinstance(model, PoS):
-        if alpha < model.s_b:
-            return None
-        u = model.b_r * alpha / total - model.c
-    elif isinstance(model, DPoS):
-        elected = _dpos_elected(powers, model.n_dpos)
-        u = (model.b_r - model.c) if node_index in elected else -model.c
-    elif isinstance(model, GammaReward):
-        weights = [p**model.gamma for p in powers]
-        u = model.block_reward(total) * weights[node_index] / math.fsum(weights)
-    elif isinstance(model, Linear):
-        u = model.coefficient(total) * alpha
-    else:
-        raise UnsupportedModelError(f"unknown incentive model {type(model).__name__}")
+    if powers[node_index] < model.s_b:
+        return None
+    u = model.node_utility(node_index, powers, pv.total())
     if not math.isfinite(u):
         raise DomainError(f"utility of node {node_index} is not finite: {u!r}")
     return u
@@ -163,66 +225,14 @@ def realized_utility(model: IncentiveModel, node_index: int, pv: PowerVector) ->
 def lottery_weights(model: IncentiveModel, powers: np.ndarray) -> np.ndarray:
     """Winner weights of the block lottery; probability of winning is
     weight / sum(weights)."""
-    if isinstance(model, (PoW, PoS)):
-        return np.asarray(powers, dtype=float)
-    if isinstance(model, GammaReward):
-        return np.asarray(powers, dtype=float) ** model.gamma
-    raise UnsupportedModelError(
-        f"{type(model).__name__} has no block lottery; rewards are deterministic"
-    )
-
-
-def per_step_costs(model: IncentiveModel, powers: np.ndarray) -> np.ndarray:
-    """Cost every node pays per time unit, win or lose."""
     powers = np.asarray(powers, dtype=float)
-    if isinstance(model, PoW):
-        return model.c1 * powers + model.c2
-    if isinstance(model, PoS):
-        return np.full(powers.shape, model.c)
-    if isinstance(model, GammaReward):
-        return np.zeros(powers.shape)
-    raise UnsupportedModelError(f"{type(model).__name__} is not a lottery model")
+    exponent = model.weight_exponent()
+    return powers if exponent is None else powers**exponent
 
 
 def block_reward(model: IncentiveModel, total_power: float) -> float:
-    if isinstance(model, (PoW, PoS)):
-        return model.b_r
-    if isinstance(model, GammaReward):
-        return model.block_reward(total_power)
-    raise UnsupportedModelError(f"{type(model).__name__} is not a lottery model")
-
-
-def sample_reward(
-    model: IncentiveModel,
-    pv: PowerVector,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw block winners and the per-node net rewards of those draws.
-
-    With size=None returns (winner, rewards) for a single time unit;
-    otherwise (winners, rewards) stacked over ``size`` independent units.
-    Stake models require every node to meet the participation minimum, so
-    the lottery denominator matches the utility formula.
-    """
-    if not isinstance(model, LOTTERY_MODELS):
-        raise UnsupportedModelError(
-            f"{type(model).__name__} has no block lottery; rewards are deterministic"
-        )
-    powers = np.array(pv.powers, dtype=float)
-    if isinstance(model, PoS) and bool(np.any(powers < model.s_b)):
-        raise DomainError("every stake must be >= s_b to sample the block lottery")
-    weights = lottery_weights(model, powers)
-    probs = weights / weights.sum()
-    costs = per_step_costs(model, powers)
-    reward = block_reward(model, float(powers.sum()))
-    n = size if size is not None else 1
-    winners = rng.choice(len(powers), size=n, p=probs)
-    rewards = np.tile(-costs, (n, 1))
-    rewards[np.arange(n), winners] += reward
-    if size is None:
-        return int(winners[0]), rewards[0]
-    return winners, rewards
+    """Block reward of a lottery model at the given total power."""
+    return model.block_reward(total_power)
 
 
 @dataclass(frozen=True)

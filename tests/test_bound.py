@@ -15,7 +15,6 @@ from decentsim.bound import (
     estimate_g,
     exact_g,
     jump_prob,
-    p0_fraction,
     poor_win_prob,
     real_world_anchors,
     sweep,
@@ -176,13 +175,12 @@ class TestEstimate:
 
     def test_p0_respects_the_analytic_bound(self):
         for f, eps in ((1e-4, 0.0), (0.5, 0.0), (1e-3, 9.0)):
-            p0, sigma = p0_fraction(params(f=f, epsilon=eps, samples=50_000))
-            assert p0 <= (1.0 + eps) * f + 3.0 * sigma + 1e-15
+            result = estimate_g(params(f=f, epsilon=eps, samples=50_000))
+            assert result.p0 <= (1.0 + eps) * f + 3.0 * result.p0_std_error + 1e-15
 
     def test_p0_equality_at_the_threshold(self):
         # ratio 2 with eps=1 sits exactly on the target
-        p0, _ = p0_fraction(params(f=0.5, epsilon=1.0, samples=100))
-        assert p0 == 1.0
+        assert estimate_g(params(f=0.5, epsilon=1.0, samples=100)).p0 == 1.0
         assert (1.0 + 1.0) * 0.5 == 1.0
 
 

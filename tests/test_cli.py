@@ -6,6 +6,7 @@ import json
 import tempfile
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,20 @@ class TestBoundCommand:
         assert code == 2
         assert "'f'" in capsys.readouterr().err
 
+    def test_trivial_bound_table_is_budgeted(self, capsys):
+        # f = 1 starts on the target, but the report still lists k_max + 1 lines
+        code = main(["bound", "--f", "1", "--rho", "0.1", "--k_max", str(10**6), "--budget", "50"])
+        assert code == 5
+        assert "exact DP cells exceed budget" in capsys.readouterr().err
+
+    def test_infinite_integer_exit_code(self, capsys):
+        assert main(["bound", "--f", "0.5", "--rho", "0.1", "--k_max", "inf"]) == 2
+        assert "config key 'k_max' expects int" in capsys.readouterr().err
+
+    def test_empty_sweep_grid_exit_code(self, capsys):
+        assert main(["sweep", "--f_grid=", "--epsilon_grid=0", "--rho_grid=0.1"]) == 3
+        assert "DomainError: sweep grids must be non-empty" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     ARGS = [
@@ -258,6 +273,21 @@ class TestSimulateCommand:
     def test_lottery_weight_overflow_exit_code(self, argv, capsys):
         assert main(["simulate", *argv, "--seeds", "1"]) == 3
         assert "DomainError: lottery weights leave the float range" in capsys.readouterr().err
+
+    def test_initial_power_overflow_exit_code(self, capsys):
+        # 10 ** 400 leaves the float range
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "simulate", "--model", "gamma", "--br", "1", "--r_max", "1", "--horizon", "10",
+                "--n_nodes", "10", "--init", "power-law", "--init_exponent", "-400",
+                "--seeds", "1",
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "DomainError: initial powers must be finite" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 SANE = st.one_of(st.floats(1e-3, 20.0), st.sampled_from((0.0, 1.0, 3.0)))
@@ -314,6 +344,74 @@ class TestSimulateInputs:
             patch.setenv("DECENTSIM_OUT", tmp)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        else:
+            assert code in (2, 3, 4, 5, 6)
+            assert err.getvalue().split(":")[0].endswith("Error")
+
+
+WALK_SANE = {
+    "f": st.sampled_from((1e-4, 1e-2, 0.3, 0.5, 1.0)),
+    "rho": st.sampled_from((1e-3, 0.1, 0.5)),
+    "epsilon": st.sampled_from((0.0, 1.0, 9.0)),
+    "u": st.sampled_from((0.5, 0.1, 1e-2)),
+    "k_max": st.integers(1, 6),
+    "n_jump": st.integers(1, 3),
+}
+WALK_EXTREME = {
+    "float": st.one_of(
+        st.sampled_from((0.0, 1e-300, 1e-9, 1.0, 2.0, 1e300, -1.0)),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    "int": st.sampled_from((-1, 0, 10**7, 2**63, 10**30, "inf")),
+}
+
+
+@st.composite
+def walk_argv(draw):
+    subcommand = draw(st.sampled_from(("bound", "sweep")))
+    # one parameter at most is extreme, so that most runs get past validation
+    extreme = draw(st.sampled_from((*WALK_SANE, None)))
+    values = {
+        key: draw(WALK_EXTREME["int" if key in ("k_max", "n_jump") else "float"]
+                  if key == extreme else sane)
+        for key, sane in WALK_SANE.items()
+    }
+    flags = {
+        "strategy": draw(st.sampled_from(("micro", "max-step", "hybrid"))),
+        "u": repr(values["u"]),
+        "k_max": values["k_max"],
+        "n_jump": values["n_jump"],
+        "seed": draw(st.integers(0, 3)),
+        # small enough that every run is bounded: Monte Carlo samples * k_max
+        # and exact DP cells are both capped by the budget
+        "samples": draw(st.integers(1, 300)),
+        "budget": repr(draw(st.sampled_from((3e3, 50.0, 0.0, -1.0)))),
+    }
+    if subcommand == "bound":
+        for key in ("f", "rho", "epsilon"):
+            flags[key] = repr(values[key])
+        flags["u_sweep"] = draw(st.booleans())
+    else:
+        # the drawn value leads each grid; grids may also be empty
+        for key in ("f", "epsilon", "rho"):
+            grid = draw(st.lists(WALK_SANE[key], max_size=2))
+            if draw(st.sampled_from((True, True, True, False))):
+                grid.insert(0, values[key])
+            flags[f"{key}_grid"] = ",".join(map(repr, grid))
+    # "--key=value", so that argparse reads a value such as -inf as a value
+    return [subcommand] + [f"--{key}={value}" for key, value in flags.items()]
+
+
+class TestWalkInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(walk_argv())
+    def test_exits_cleanly(self, argv):
+        # every input either reports strict JSON or exits with a documented code
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
         if code == 0:
             json.loads(out.getvalue(), parse_constant=reject_constant)
         else:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decentsim.core import PowerVector
+from decentsim.core import PowerVector, RewardParams
+from decentsim.dynamics import ExplicitInit, SimConfig, run_seeds
 from decentsim.errors import DomainError, UnsupportedModelError
 from decentsim.incentives import (
     DPoS,
@@ -15,7 +16,6 @@ from decentsim.incentives import (
     ThresholdCoverSybilCost,
     ZeroSybilCost,
     realized_utility,
-    sample_reward,
     sybil_cost,
     utility,
 )
@@ -116,61 +116,73 @@ class TestLinearInvariance:
         assert split_total == pytest.approx(merged, rel=1e-9)
 
 
-class TestSampleReward:
+def lottery_draws(model, powers, n_seeds=4000, steps=25):
+    """Winners of ``n_seeds * steps`` block lotteries on fixed powers: the
+    simulator's kernel with reinvestment rate 0, so the state never moves."""
+    config = SimConfig(
+        model=model,
+        reward=RewardParams(r=0.0, r_max=1.0),
+        horizon=steps,
+        n_nodes=len(powers),
+        init=ExplicitInit(powers),
+        seeds=tuple(range(n_seeds)),
+    )
+    seen = []
+
+    class Winners:
+        def record(self, t0, states, winners):
+            assert np.array_equal(states, np.broadcast_to(powers, states.shape))
+            if winners is not None:
+                seen.append(winners.copy())
+
+    run_seeds(config, [Winners()])
+    return np.concatenate(seen).reshape(-1)
+
+
+class TestLotteryDraws:
     def test_single_node_always_wins(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            winner, rewards = sample_reward(GammaReward(3, 0.5), PowerVector((2.0,)), rng)
-            assert winner == 0
-            assert rewards[0] == pytest.approx(3.0)
+        assert np.all(lottery_draws(GammaReward(3, 0.5), (2.0,), n_seeds=20, steps=5) == 0)
 
     def test_deterministic_variants_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(UnsupportedModelError):
-            sample_reward(DPoS(5, 1, 2), PowerVector((3, 2, 1)), rng)
-        with pytest.raises(UnsupportedModelError):
-            sample_reward(Linear("constant", 1.0), PowerVector((1, 1)), rng)
+        for model in (DPoS(5, 1, 2), Linear("constant", 1.0)):
+            with pytest.raises(UnsupportedModelError):
+                lottery_draws(model, (3.0, 2.0))
 
     def test_pos_requires_minimum_stake(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
-            sample_reward(PoS(10, 1, s_b=2.0), PowerVector((1, 5)), rng)
+            lottery_draws(PoS(10, 1, s_b=2.0), (1.0, 5.0))
 
     def test_gamma_winner_frequency(self):
         # winner 0 should win with probability 2/3 on powers (4, 1)
-        rng = np.random.default_rng(7)
-        n = 100_000
-        winners, _ = sample_reward(GammaReward(3, 0.5), PowerVector((4, 1)), rng, size=n)
+        winners = lottery_draws(GammaReward(3, 0.5), (4.0, 1.0))
         freq = float(np.mean(winners == 0))
-        sigma = math.sqrt((2 / 3) * (1 / 3) / n)
+        sigma = math.sqrt((2 / 3) * (1 / 3) / winners.size)
         assert abs(freq - 2 / 3) <= 3 * sigma
 
     def test_pow_fair_coin_three_sigma(self):
-        rng = np.random.default_rng(11)
-        n = 1_000_000
-        winners, _ = sample_reward(PoW(12.5), PowerVector((1, 1)), rng, size=n)
+        winners = lottery_draws(PoW(12.5), (1.0, 1.0))
         freq = float(np.mean(winners == 0))
-        sigma = math.sqrt(0.25 / n)
+        sigma = math.sqrt(0.25 / winners.size)
         assert abs(freq - 0.5) <= 3 * sigma
 
     @pytest.mark.parametrize(
-        "model,powers",
+        "model,powers,costs",
         [
-            (PoW(12.5, 0.5, 0.25), (1.0, 3.0)),
-            (PoS(8.0, 0.5, s_b=0.5), (2.0, 1.0, 1.0)),
-            (GammaReward(3.0, 0.5), (4.0, 1.0)),
+            # c1 * power + c2, c, and no cost
+            (PoW(12.5, 0.5, 0.25), (1.0, 3.0), (0.75, 1.75)),
+            (PoS(8.0, 0.5, s_b=0.5), (2.0, 1.0, 1.0), (0.5, 0.5, 0.5)),
+            (GammaReward(3.0, 0.5), (4.0, 1.0), (0.0, 0.0)),
         ],
     )
-    def test_mean_reward_converges_to_utility(self, model, powers):
-        # law of large numbers at a million samples, four sample sigmas
-        rng = np.random.default_rng(13)
+    def test_mean_reward_converges_to_utility(self, model, powers, costs):
+        # every node pays its cost each time unit and the winner also earns
+        # the block reward; four sample sigmas
+        winners = lottery_draws(model, powers)
         pv = PowerVector(powers)
-        n = 1_000_000
-        _, rewards = sample_reward(model, pv, rng, size=n)
-        means = rewards.mean(axis=0)
-        ses = rewards.std(axis=0, ddof=1) / math.sqrt(n)
-        for i in range(len(powers)):
-            assert abs(means[i] - utility(model, i, pv)) <= 4 * ses[i]
+        for i, cost in enumerate(costs):
+            rewards = model.b_r * (winners == i) - cost
+            se = rewards.std(ddof=1) / math.sqrt(rewards.size)
+            assert abs(rewards.mean() - utility(model, i, pv)) <= 4 * se
 
 
 class TestSybilCost:
