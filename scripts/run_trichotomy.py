@@ -22,7 +22,9 @@ import time
 import numpy as np
 
 from decentsim.core import RewardParams
-from decentsim.dynamics import PowerLawInit, SimConfig, build_initial_powers, summarize
+from decentsim.dynamics import (
+    PowerLawInit, SimConfig, SlopeAccumulator, build_initial_powers, summarize
+)
 from decentsim.incentives import GammaReward
 
 N_NODES = 10
@@ -44,37 +46,11 @@ def desk_config(gamma: float, horizon: int, seeds: tuple[int, ...]) -> SimConfig
     )
 
 
-class SlopeRecorder:
-    """Per-seed online least-squares slope of one node's fraction over
-    steps 0..horizon; only sum(y) and sum(t*y) are accumulated."""
-
-    def __init__(self, node: int, n_seeds: int) -> None:
-        self.node = node
-        self.sum_y = np.zeros(n_seeds)
-        self.sum_ty = np.zeros(n_seeds)
-
-    def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
-        y = states[:, :, self.node] / states.sum(axis=2)
-        self.sum_y += y.sum(axis=0)
-        self.sum_ty += np.arange(t0, t0 + len(states), dtype=float) @ y
-
-    def slopes(self, horizon: int) -> np.ndarray:
-        steps = horizon + 1
-        sum_t = steps * (steps - 1) / 2.0
-        sum_t2 = (steps - 1) * steps * (2 * steps - 1) / 6.0
-        denom = sum_t2 - sum_t**2 / steps
-        return (self.sum_ty - sum_t * self.sum_y / steps) / denom
-
-
 def run_one(gamma: float, horizon: int, n_seeds: int, seed0: int) -> None:
     config = desk_config(gamma, horizon, tuple(range(seed0, seed0 + n_seeds)))
-    init = build_initial_powers(config.init, N_NODES)
-    extremal = {
-        "poorest": SlopeRecorder(int(np.argmin(init)), n_seeds),
-        "richest": SlopeRecorder(int(np.argmax(init)), n_seeds),
-    }
+    slopes = SlopeAccumulator(n_seeds, horizon)
     started = time.perf_counter()
-    summary = summarize(config, list(extremal.values()))
+    summary = summarize(config, [slopes])
     elapsed = time.perf_counter() - started
 
     fractions = summary.final_betas
@@ -88,11 +64,11 @@ def run_one(gamma: float, horizon: int, n_seeds: int, seed0: int) -> None:
     print(f"  median final max/min ratio: {float(np.median(summary.final_ratios)):.3f}")
     print(f"  seeds with top fraction >= {TOP_TARGET}: {top99}/{n_seeds}")
     if n_seeds >= 30:
-        for label, recorder in extremal.items():
-            slopes = recorder.slopes(horizon)
-            se = slopes.std(ddof=1) / math.sqrt(n_seeds)
-            print(f"  slope of {label} node's fraction: {slopes.mean():+.2e} (se {se:.1e})")
+        stats = slopes.stats()
+        print(f"  slope of poorest node's fraction: {stats.slope_min:+.2e} (se {stats.se_min:.1e})")
+        print(f"  slope of richest node's fraction: {stats.slope_max:+.2e} (se {stats.se_max:.1e})")
     if gamma == 1.0:
+        init = build_initial_powers(config.init, N_NODES)
         beta0 = init / init.sum()
         se = fractions.std(axis=0, ddof=1) / math.sqrt(n_seeds)
         z = np.abs(fractions.mean(axis=0) - beta0) / se

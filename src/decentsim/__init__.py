@@ -45,6 +45,7 @@ from .dynamics import (
     PowerLawInit,
     RunSummary,
     SimConfig,
+    SlopeAccumulator,
     Trajectory,
     TwoPointInit,
     ed_verdict,

@@ -31,6 +31,9 @@ from .errors import BudgetError, DomainError
 
 CHUNK_SIZE = 1_000_000
 
+# most lines k = 0..k_max a result may list in its per-line table
+MAX_LINES = 10**6
+
 STRATEGIES = ("micro", "max-step", "hybrid")
 
 # Observed ratios from a large public work-lottery pool plus the reward
@@ -151,6 +154,11 @@ def _check_budget(params: WalkParams) -> None:
             f"samples*k_max = {params.samples * params.k_max:.3g} exceeds "
             f"budget {params.budget:.3g}"
         )
+
+
+def _check_lines(params: WalkParams) -> None:
+    if params.k_max + 1 > MAX_LINES:
+        raise BudgetError(f"k_max + 1 = {params.k_max + 1} lines exceed the cap of {MAX_LINES}")
 
 
 def _check_climb_range(params: WalkParams) -> None:
@@ -377,6 +385,7 @@ def _finalize(params: WalkParams, chunks: list[ChunkSums]) -> BoundEstimate:
 def estimate_g(params: WalkParams) -> BoundEstimate:
     """Estimate the catch-up bound for the given walk parameters."""
     _check_budget(params)
+    _check_lines(params)
     if 1.0 / params.f <= 1.0 + params.epsilon:
         return _trivial_estimate(params)
     if params.strategy == "max-step":
@@ -403,6 +412,7 @@ def exact_g(params: WalkParams) -> BoundEstimate:
         if params.k_max + 1 > params.budget:
             raise BudgetError(f"k_max+1 = {params.k_max + 1:.3g} exact DP cells exceed "
                               f"budget {params.budget:.3g}")
+        _check_lines(params)
         return replace(_trivial_estimate(params), samples=0)
     _check_climb_range(params)
     cells = (params.k_max + 1) * _climbs_needed(params, 1.0 + params.k_max * params.rho)
@@ -410,6 +420,7 @@ def exact_g(params: WalkParams) -> BoundEstimate:
         raise BudgetError(
             f"(k_max+1)*N = {cells:.3g} exact DP cells exceed budget {params.budget:.3g}"
         )
+    _check_lines(params)
     mass = np.ones(1)
     per_k = np.zeros(params.k_max + 1)
     dense = np.zeros(params.k_max + 1)

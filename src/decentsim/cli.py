@@ -31,8 +31,8 @@ from .dynamics import (
     ExplicitInit,
     PowerLawInit,
     SimConfig,
+    SlopeAccumulator,
     TwoPointInit,
-    _ExtremalFractionsRecorder,
     _FinalWindowRecorder,
     _fractions,
     _ratios,
@@ -135,13 +135,10 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
         window=cfg["window"] or None,
     )
     tail = _FinalWindowRecorder(sim) if sim.horizon else None
-    extremal = (
-        _ExtremalFractionsRecorder(len(sim.seeds), sim.horizon)
-        if len(sim.seeds) >= 30 else None
-    )
+    slopes = SlopeAccumulator(len(sim.seeds), sim.horizon) if len(sim.seeds) >= 30 else None
     out_dir = _resolve_path(cfg["trajectories_dir"]) if cfg["trajectories_dir"] else None
     csv_writer = _TrajectoryCsvWriter(out_dir, sim) if out_dir is not None else None
-    state = run_seeds(sim, [r for r in (tail, extremal, csv_writer) if r is not None])
+    state = run_seeds(sim, [r for r in (tail, slopes, csv_writer) if r is not None])
     results: dict[str, Any] = {
         "horizon": sim.horizon,
         "n_seeds": len(sim.seeds),
@@ -159,8 +156,8 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
             "mean_final_ratio": verdict.mean_final_ratio,
             "window": tail.window,
         }
-    if extremal is not None:
-        results["monotonicity"] = dataclasses.asdict(extremal.stats())
+    if slopes is not None:
+        results["monotonicity"] = dataclasses.asdict(slopes.stats())
     if out_dir is not None:
         results["trajectories_dir"] = str(out_dir)
     return results

@@ -427,63 +427,81 @@ class MonotonicityStats:
     se_max: float
 
 
-def _per_seed_slopes(series: np.ndarray) -> np.ndarray:
-    """Least-squares slope of each row; centres ``series`` in place."""
-    steps = np.arange(series.shape[1], dtype=float)
-    centered = steps - steps.mean()
-    denom = float((centered**2).sum())
-    if denom == 0.0:
-        return np.zeros(series.shape[0])
-    series -= series.mean(axis=1, keepdims=True)
-    return series @ centered / denom
+# steps per chunk of the streamed slope sums; chunks are aligned to absolute
+# steps, so a seed's slope depends neither on the blocks nor on the batch
+SLOPE_CHUNK = 512
 
 
-def _slope_stats(mins: np.ndarray, maxs: np.ndarray) -> MonotonicityStats:
-    """Mean per-seed slope and its standard error across seeds, from the
-    (seeds, steps) C-contiguous fraction series of the tracked nodes."""
-    n = mins.shape[0]
-    slope_min = _per_seed_slopes(mins)
-    slope_max = _per_seed_slopes(maxs)
-    return MonotonicityStats(
-        slope_min=float(slope_min.mean()),
-        se_min=float(slope_min.std(ddof=1) / math.sqrt(n)),
-        slope_max=float(slope_max.mean()),
-        se_max=float(slope_max.std(ddof=1) / math.sqrt(n)),
-    )
+class SlopeAccumulator:
+    """Streamed least-squares slopes of the poorest and richest nodes'
+    fractions in each seed, for ``MonotonicityStats``.
 
-
-def monotonicity_stats(trajectories: list[Trajectory]) -> MonotonicityStats:
-    if len(trajectories) < 30:
-        raise DomainError("at least 30 seeds are required for slope statistics")
-    mins = np.stack(
-        [t.betas[:, int(np.argmin(t.betas[0]))] for t in trajectories]
-    )
-    maxs = np.stack(
-        [t.betas[:, int(np.argmax(t.betas[0]))] for t in trajectories]
-    )
-    return _slope_stats(mins, maxs)
-
-
-class _ExtremalFractionsRecorder:
-    """Keeps, per seed and step, the fractions of the nodes with the
-    smallest and the largest initial fraction, for ``_slope_stats``."""
+    With c_t = t - horizon/2, which sums to 0, a series' slope is
+    sum(c_t * (y_t - y_0)) / D, D = sum(c_t**2) exactly; y_0 is subtracted
+    against cancellation.  The values are re-buffered into SLOPE_CHUNK steps
+    and each chunk is summed along its contiguous step axis, so memory is
+    O(seeds * SLOPE_CHUNK).  As a recorder it feeds itself the fractions.
+    """
 
     def __init__(self, n_seeds: int, horizon: int) -> None:
-        self.mins = np.empty((n_seeds, horizon + 1))
-        self.maxs = np.empty((n_seeds, horizon + 1))
+        self.centre = horizon / 2
+        self.denom = (horizon + 1) * horizon * (horizon + 2) / 12
+        self.chunk = np.empty((2 * n_seeds, SLOPE_CHUNK))
+        self.sums = np.zeros(2 * n_seeds)
+        self.start = self.filled = 0
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
         if t0 == 0:
             # every seed starts from the same state
             initial = _fractions(states[0, 0])
-            self.col_min = int(np.argmin(initial))
-            self.col_max = int(np.argmax(initial))
-        # the division _fractions does, for two columns only; each seed's
-        # steps t0.. are one contiguous row slice
-        totals = states.sum(axis=2)
-        stop = t0 + len(states)
-        np.divide(states[:, :, self.col_min], totals, out=self.mins[:, t0:stop].T)
-        np.divide(states[:, :, self.col_max], totals, out=self.maxs[:, t0:stop].T)
+            self.nodes = [int(np.argmin(initial)), int(np.argmax(initial))]
+        # the division _fractions does, for the two tracked nodes only
+        tracked = states[:, :, self.nodes] / states.sum(axis=2)[..., None]
+        self.add(tracked.reshape(len(states), -1))
+
+    def add(self, values: np.ndarray) -> None:
+        """Feed the next steps: (steps, 2 * n_seeds) values, each seed's
+        poorest node and then its richest."""
+        if self.start == self.filled == 0:
+            self.first = values[0].copy()
+        done = 0
+        while done < len(values):
+            take = min(SLOPE_CHUNK - self.filled, len(values) - done)
+            self.chunk[:, self.filled : self.filled + take] = values[done : done + take].T
+            self.filled += take
+            done += take
+            if self.filled == SLOPE_CHUNK:
+                self.sums += self._chunk_sums()
+                self.start += SLOPE_CHUNK
+                self.filled = 0
+
+    def _chunk_sums(self) -> np.ndarray:
+        steps = np.arange(self.start, self.start + self.filled) - self.centre
+        return ((self.chunk[:, : self.filled] - self.first[:, None]) * steps).sum(axis=1)
+
+    def slopes(self) -> np.ndarray:
+        if self.denom == 0.0:
+            return np.zeros(len(self.sums))
+        return (self.sums + self._chunk_sums()) / self.denom
 
     def stats(self) -> MonotonicityStats:
-        return _slope_stats(self.mins, self.maxs)
+        """Mean per-seed slope and its standard error across seeds."""
+        slope_min, slope_max = self.slopes().reshape(-1, 2).T
+        root_n = math.sqrt(slope_min.size)
+        return MonotonicityStats(
+            slope_min=float(slope_min.mean()),
+            se_min=float(slope_min.std(ddof=1) / root_n),
+            slope_max=float(slope_max.mean()),
+            se_max=float(slope_max.std(ddof=1) / root_n),
+        )
+
+
+def monotonicity_stats(trajectories: list[Trajectory]) -> MonotonicityStats:
+    if len(trajectories) < 30:
+        raise DomainError("at least 30 seeds are required for slope statistics")
+    slopes = SlopeAccumulator(len(trajectories), trajectories[0].horizon)
+    tracked = [
+        t.betas[:, int(pick(t.betas[0]))] for t in trajectories for pick in (np.argmin, np.argmax)
+    ]
+    slopes.add(np.stack(tracked, axis=1))
+    return slopes.stats()

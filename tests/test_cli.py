@@ -1,22 +1,23 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
+import math
 import tempfile
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decentsim import cli, dynamics
+from decentsim import bound, cli, dynamics
 from decentsim.cli import main, results_payload_bytes, run
 from decentsim.config import parse_config
 from decentsim.core import RewardParams
-from decentsim.dynamics import SimConfig, ed_verdict, monotonicity_stats, simulate
+from decentsim.dynamics import SimConfig, SlopeAccumulator, ed_verdict, simulate
 from test_dynamics import replay_final_betas
 
 
@@ -218,6 +219,18 @@ class TestBoundCommand:
         code = main(["bound", "--f", "1", "--rho", "0.1", "--k_max", str(10**6), "--budget", "50"])
         assert code == 5
         assert "exact DP cells exceed budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["micro", "max-step", "hybrid"])
+    def test_per_line_table_is_capped(self, strategy, capsys):
+        # k_max 1e7 within the default budget: the per-line table alone would
+        # take hundreds of MB, so it is refused before it is built
+        started = time.perf_counter()
+        code = main(["bound", "--f", "1", "--rho", "0.1", "--k_max", str(10**7),
+                     "--samples", "1", "--strategy", strategy])
+        assert time.perf_counter() - started < 0.5
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"k_max + 1 = 10000001 lines exceed the cap of {bound.MAX_LINES}" in err
 
     def test_infinite_integer_exit_code(self, capsys):
         assert main(["bound", "--f", "0.5", "--rho", "0.1", "--k_max", "inf"]) == 2
@@ -446,11 +459,12 @@ class TestNonFiniteInput:
 
 
 def reference_simulate(cfg):
-    """The results and trajectory CSV bytes of a simulate config, computed
-    from the full trajectories of ``simulate`` with ``ed_verdict``,
-    ``monotonicity_stats`` and ``csv.writer``: the oracle of the streamed
-    ``_run_simulate``.  Each seed's final state is checked against a replay
-    by the scalar ``step``."""
+    """The results but ``monotonicity`` and the trajectory CSV bytes of a
+    simulate config, computed from the full trajectories of ``simulate``
+    with ``ed_verdict`` and ``csv.writer``: the oracle of the streamed
+    ``_run_simulate``.  Also returns the trajectories, for
+    ``assert_slope_stats_exact``.  Each seed's final state is checked
+    against a replay by the scalar ``step``."""
     sim = SimConfig(
         model=cli.build_incentive_model(cfg),
         reward=RewardParams(r=cfg["r"], r_max=cfg["r_max"]),
@@ -485,8 +499,6 @@ def reference_simulate(cfg):
             "mean_final_ratio": verdict.mean_final_ratio,
             "window": window,
         }
-    if len(trajectories) >= 30:
-        results["monotonicity"] = dataclasses.asdict(monotonicity_stats(trajectories))
     files = {}
     for traj in trajectories:
         handle = io.StringIO(newline="")
@@ -497,7 +509,60 @@ def reference_simulate(cfg):
                 [t, repr(float(traj.ratios[t]))] + [repr(float(b)) for b in traj.betas[t]]
             )
         files[f"trajectory_{traj.seed}.csv"] = handle.getvalue().encode("utf-8")
-    return results, files
+    return results, files, trajectories
+
+
+EPS = 2.0**-52
+
+
+def exact_slopes(series):
+    """Exact least-squares slope over steps 0..H of each row y of the float
+    ``series``, sum(c_t * (y_t - y_0)) / D with c_t = t - H/2 and D the sum
+    of c_t**2, in Fraction arithmetic; and the error a float computation of
+    it is allowed, (H + 5) * 2**-52 * sum(|c_t * (y_t - y_0)|) / D: two
+    roundings per term, at most H + 1 in the sum and two in the division."""
+    horizon = series.shape[1] - 1
+    steps = [Fraction(2 * t - horizon, 2) for t in range(horizon + 1)]
+    denom = sum(c * c for c in steps)
+    if denom == 0:
+        return [(Fraction(0), Fraction(0))] * len(series)
+    out = []
+    for row in series.tolist():
+        terms = [c * (Fraction(y) - Fraction(row[0])) for c, y in zip(steps, row)]
+        out.append((sum(terms) / denom, (horizon + 5) * EPS * sum(map(abs, terms)) / denom))
+    return out
+
+
+def assert_slope_stats_exact(reported, trajectories):
+    """The four ``monotonicity`` fields against the exact slopes of the
+    tracked fraction series.  Each seed's streamed slope, and its slope by
+    the batch fit that preceded the streamed one, lie within the per-seed
+    tolerance of ``exact_slopes``.  The mean then moves by at most the mean
+    tolerance and the standard error by at most their root mean square over
+    n - 1, each plus the rounding of its own sums."""
+    n = len(trajectories)
+    tracked = np.stack(
+        [t.betas[:, pick(t.betas[0])] for t in trajectories for pick in (np.argmin, np.argmax)]
+    )
+    streamed = SlopeAccumulator(n, tracked.shape[1] - 1)
+    for start in range(0, tracked.shape[1], 7):
+        streamed.add(tracked[:, start : start + 7].T)
+    sides = zip(("min", "max"), (tracked[0::2], tracked[1::2]), streamed.slopes().reshape(-1, 2).T)
+    for side, series, slopes in sides:
+        exact, tol = zip(*exact_slopes(series))
+        assert all(abs(Fraction(s) - e) <= t for s, e, t in zip(slopes, exact, tol))
+        # the batch fit: centred series against centred steps, one BLAS dot
+        centred = np.arange(series.shape[1], dtype=float)
+        centred -= centred.mean()
+        denom = float((centred**2).sum())
+        batch = (series - series.mean(axis=1, keepdims=True)) @ centred / (denom or np.inf)
+        assert all(abs(Fraction(b) - e) <= t for b, e, t in zip(batch, exact, tol))
+        mean = sum(exact) / n
+        rounding = (n + 8) * EPS * max(abs(e) for e in exact)
+        assert abs(Fraction(reported[f"slope_{side}"]) - mean) <= sum(tol) / n + rounding
+        se = Fraction(math.sqrt(sum((e - mean) ** 2 for e in exact) / (n - 1) / n))
+        se_tol = math.sqrt(sum(t * t for t in tol) / (n * (n - 1)))
+        assert abs(Fraction(reported[f"se_{side}"]) - se) <= Fraction(se_tol) + rounding
 
 
 GAMMA5 = {
@@ -552,23 +617,40 @@ class TestStreamedSimulate:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_full_trajectory_report(self, case, blocks, tmp_path, monkeypatch):
         monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
+        default_blocks = dynamics.RECORD_BLOCK, dynamics.DRAW_BLOCK
         if blocks != "default":
             monkeypatch.setattr(dynamics, "RECORD_BLOCK", 1)
             monkeypatch.setattr(dynamics, "DRAW_BLOCK", 7)
         cfg = parse_config("simulate", overrides=self.CASES[case])
-        expected, files = reference_simulate(cfg)
+        expected, files, trajectories = reference_simulate(cfg)
         results = run(cfg)["results"]
         if cfg["trajectories_dir"]:
             out_dir = tmp_path / cfg["trajectories_dir"]
             assert results.pop("trajectories_dir") == str(out_dir)
             written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
             assert written == files
+        if len(trajectories) >= 30:
+            if blocks != "default":
+                # the slopes do not depend on the blocks either
+                monkeypatch.setattr(dynamics, "RECORD_BLOCK", default_blocks[0])
+                monkeypatch.setattr(dynamics, "DRAW_BLOCK", default_blocks[1])
+                again = run(cfg)["results"]["monotonicity"]
+                assert json.dumps(again) == json.dumps(results["monotonicity"])
+            assert_slope_stats_exact(results.pop("monotonicity"), trajectories)
         assert json.dumps(results, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
-    @pytest.mark.parametrize("with_csv", [False, True])
-    def test_peak_memory_flat_in_horizon(self, with_csv, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_seeds, with_csv",
+        [
+            pytest.param(8, False, id="False"),
+            pytest.param(2, True, id="True"),
+            # 30 seeds or more: the slope statistics are streamed too
+            pytest.param(30, False, id="slopes"),
+        ],
+    )
+    def test_peak_memory_flat_in_horizon(self, n_seeds, with_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
-        seeds = list(range(2 if with_csv else 8))
+        seeds = list(range(n_seeds))
 
         def peak_bytes(horizon):
             cfg = parse_config("simulate", overrides={

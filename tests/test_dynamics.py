@@ -10,6 +10,7 @@ from decentsim.dynamics import (
     ExplicitInit,
     PowerLawInit,
     SimConfig,
+    SlopeAccumulator,
     TwoPointInit,
     build_initial_powers,
     ed_verdict,
@@ -273,6 +274,22 @@ class TestMonotonicityStats:
         stats = monotonicity_stats(simulate(config))
         assert stats.slope_min > 0
         assert stats.slope_max < 0
+
+
+class TestSlopeAccumulator:
+    def test_seed_slope_independent_of_batch_and_blocks(self):
+        # three full chunks and a partial one, fed in blocks that straddle them
+        horizon = 3 * dynamics.SLOPE_CHUNK + 17
+        series = np.random.default_rng(4).random((horizon + 1, 62))
+        batch = SlopeAccumulator(31, horizon)
+        for start in range(0, horizon + 1, 100):
+            batch.add(series[start : start + 100])
+        slopes = batch.slopes()
+        for seed in range(31):
+            alone = SlopeAccumulator(1, horizon)
+            for start in range(0, horizon + 1, 37):
+                alone.add(series[start : start + 37, 2 * seed : 2 * seed + 2])
+            assert alone.slopes().tobytes() == slopes[2 * seed : 2 * seed + 2].tobytes()
 
 
 class TestDrawBlocks:
