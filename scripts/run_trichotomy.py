@@ -23,7 +23,7 @@ import numpy as np
 
 from decentsim.core import RewardParams
 from decentsim.dynamics import (
-    PowerLawInit, SimConfig, SlopeAccumulator, build_initial_powers, summarize
+    MIN_SLOPE_SEEDS, PowerLawInit, SimConfig, SlopeAccumulator, build_initial_powers, summarize
 )
 from decentsim.incentives import GammaReward
 
@@ -54,16 +54,15 @@ def run_one(gamma: float, horizon: int, n_seeds: int, seed0: int) -> None:
     elapsed = time.perf_counter() - started
 
     fractions = summary.final_betas
-    converged = round(summary.verdict.converged_fraction * n_seeds)
     top99 = int((fractions.max(axis=1) >= TOP_TARGET).sum())
     print(f"gamma={gamma}  ({elapsed:.1f}s, horizon={horizon}, seeds={n_seeds})")
-    print(
-        f"  ratio<={RATIO_TARGET} through final {config.effective_window()} steps: "
-        f"{converged}/{n_seeds}"
-    )
+    if summary.verdict is not None:  # None at horizon 0
+        converged = round(summary.verdict.converged_fraction * n_seeds)
+        window = config.effective_window()
+        print(f"  ratio<={RATIO_TARGET} through final {window} steps: {converged}/{n_seeds}")
     print(f"  median final max/min ratio: {float(np.median(summary.final_ratios)):.3f}")
     print(f"  seeds with top fraction >= {TOP_TARGET}: {top99}/{n_seeds}")
-    if n_seeds >= 30:
+    if n_seeds >= MIN_SLOPE_SEEDS:
         stats = slopes.stats()
         print(f"  slope of poorest node's fraction: {stats.slope_min:+.2e} (se {stats.se_min:.1e})")
         print(f"  slope of richest node's fraction: {stats.slope_max:+.2e} (se {stats.se_max:.1e})")

@@ -62,11 +62,9 @@ from .bound import (
     estimate_g,
     exact_g,
     jump_prob,
-    poor_win_prob,
     real_world_anchors,
     sweep,
     u_sensitivity,
-    walk_step,
 )
 from .metrics import (
     MetricsReport,

@@ -96,9 +96,6 @@ class WalkState:
         if self.a < 1 or not self.b > 0 or self.k < 0:
             raise DomainError("walk state requires a >= 1, b > 0, k >= 0")
 
-    def ratio(self) -> float:
-        return self.a / self.b
-
 
 def jump_prob(state: WalkState, epsilon: float, rho: float) -> float:
     """Chance that the poor node closes the entire remaining gap in one win.
@@ -109,29 +106,6 @@ def jump_prob(state: WalkState, epsilon: float, rho: float) -> float:
     if gap <= 0:
         return 1.0
     return rho / (rho + state.a * gap)
-
-
-def poor_win_prob(state: WalkState, params: WalkParams) -> float:
-    """Per-step probability that the poor node wins the next block.
-
-    Micro strategy: relative gain u, probability rho / (rho + a*u).
-    Max-step strategy: absolute gain rho, probability b / (a + b).
-    """
-    if params.strategy == "max-step":
-        return state.b / (state.a + state.b)
-    return params.rho / (params.rho + state.a * params.u)
-
-
-def walk_step(state: WalkState, params: WalkParams, rng: np.random.Generator) -> WalkState:
-    """One micro-step: the poor node gains the relative step u, or the
-    rich node gains rho and the line count advances."""
-    if params.strategy != "micro":
-        raise DomainError("walk_step advances the micro-step strategy only")
-    if state.ratio() <= 1.0 + params.epsilon:
-        raise DomainError("walk already reached the target ratio")
-    if rng.random() < poor_win_prob(state, params):
-        return WalkState(state.a, state.b * (1.0 + params.u), state.k)
-    return WalkState(state.a + params.rho, state.b, state.k + 1)
 
 
 @dataclass(frozen=True)

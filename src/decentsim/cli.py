@@ -28,15 +28,15 @@ from .conditions import check_all, check_linearity
 from .config import SCHEMAS, RunConfig, echo_values, parse_config
 from .core import PlayerMap, PowerVector, RewardParams
 from .dynamics import (
+    MIN_SLOPE_SEEDS,
     ExplicitInit,
     PowerLawInit,
     SimConfig,
     SlopeAccumulator,
     TwoPointInit,
-    _FinalWindowRecorder,
     _fractions,
     _ratios,
-    run_seeds,
+    summarize,
 )
 from .errors import (
     BudgetError,
@@ -134,28 +134,23 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
         delta=cfg["delta"],
         window=cfg["window"] or None,
     )
-    tail = _FinalWindowRecorder(sim) if sim.horizon else None
-    slopes = SlopeAccumulator(len(sim.seeds), sim.horizon) if len(sim.seeds) >= 30 else None
+    n_seeds = len(sim.seeds)
+    slopes = SlopeAccumulator(n_seeds, sim.horizon) if n_seeds >= MIN_SLOPE_SEEDS else None
     out_dir = _resolve_path(cfg["trajectories_dir"]) if cfg["trajectories_dir"] else None
     csv_writer = _TrajectoryCsvWriter(out_dir, sim) if out_dir is not None else None
-    state = run_seeds(sim, [r for r in (tail, slopes, csv_writer) if r is not None])
+    summary = summarize(sim, [r for r in (slopes, csv_writer) if r is not None])
     results: dict[str, Any] = {
         "horizon": sim.horizon,
-        "n_seeds": len(sim.seeds),
+        "n_seeds": n_seeds,
         "per_seed": [
             {"seed": seed, "final_ratio": ratio, "final_betas": betas}
             for seed, ratio, betas in zip(
-                sim.seeds, _ratios(state, sim.delta).tolist(), _fractions(state).tolist()
+                sim.seeds, summary.final_ratios.tolist(), summary.final_betas.tolist()
             )
         ],
     }
-    if tail is not None:
-        verdict = tail.verdict()
-        results["ed"] = {
-            "converged_fraction": verdict.converged_fraction,
-            "mean_final_ratio": verdict.mean_final_ratio,
-            "window": tail.window,
-        }
+    if summary.verdict is not None:
+        results["ed"] = {**dataclasses.asdict(summary.verdict), "window": sim.effective_window()}
     if slopes is not None:
         results["monotonicity"] = dataclasses.asdict(slopes.stats())
     if out_dir is not None:

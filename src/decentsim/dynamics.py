@@ -386,28 +386,29 @@ class _FinalWindowRecorder:
 class RunSummary:
     """End state of a run without its per-step record.
 
-    ``final_ratios`` and ``verdict`` use the fraction ratio, window and
-    percentile rank of ``ed_verdict``, so they equal what it gives on the
-    full trajectories of the same config.
+    ``final_ratios`` is the max/percentile ratio of the final powers, the
+    last entry of each ``Trajectory.ratios``.  ``verdict`` is what
+    ``ed_verdict`` gives on the full trajectories over the config's
+    effective window, or None at horizon 0, where there is no window.
     """
 
     seeds: tuple[int, ...]
     final_betas: np.ndarray  # (seeds, n_nodes)
     final_ratios: np.ndarray  # (seeds,)
-    verdict: EdVerdict
+    verdict: EdVerdict | None
 
 
 def summarize(config: SimConfig, recorders: Sequence[Recorder] = ()) -> RunSummary:
     """Run the config and keep only the final state and the ED verdict over
     its effective window; memory does not grow with the horizon.  Extra
-    recorders observe the same run."""
-    tail = _FinalWindowRecorder(config)
-    state = run_seeds(config, [tail, *recorders])
+    recorders observe the same run, after the verdict's own."""
+    tail = _FinalWindowRecorder(config) if config.horizon else None
+    state = run_seeds(config, [r for r in (tail, *recorders) if r is not None])
     return RunSummary(
         seeds=config.seeds,
         final_betas=_fractions(state),
-        final_ratios=tail.last,
-        verdict=tail.verdict(),
+        final_ratios=_ratios(state, config.delta),
+        verdict=None if tail is None else tail.verdict(),
     )
 
 
@@ -427,6 +428,8 @@ class MonotonicityStats:
     se_max: float
 
 
+# seeds a run needs for slope statistics
+MIN_SLOPE_SEEDS = 30
 # steps per chunk of the streamed slope sums; chunks are aligned to absolute
 # steps, so a seed's slope depends neither on the blocks nor on the batch
 SLOPE_CHUNK = 512
@@ -497,8 +500,8 @@ class SlopeAccumulator:
 
 
 def monotonicity_stats(trajectories: list[Trajectory]) -> MonotonicityStats:
-    if len(trajectories) < 30:
-        raise DomainError("at least 30 seeds are required for slope statistics")
+    if len(trajectories) < MIN_SLOPE_SEEDS:
+        raise DomainError(f"at least {MIN_SLOPE_SEEDS} seeds are required for slope statistics")
     slopes = SlopeAccumulator(len(trajectories), trajectories[0].horizon)
     tracked = [
         t.betas[:, int(pick(t.betas[0]))] for t in trajectories for pick in (np.argmin, np.argmax)

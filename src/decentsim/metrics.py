@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,13 +60,13 @@ def load_producer_csv(path: str | Path) -> ProducerDataset:
             if len(row) != 2:
                 raise DomainError(f"{path}:{line_no}: expected two columns")
             address, raw = row[0].strip(), row[1].strip()
-            try:
-                blocks = int(raw)
-            except ValueError as exc:
+            # ASCII digits only: int() would also take "1_0", "+4" and
+            # other scripts' digits; a sign stays for the non-negative check
+            if not re.fullmatch(r"-?[0-9]+", raw):
                 raise DomainError(
                     f"{path}:{line_no}: blocks must be a base-10 integer, got {raw!r}"
-                ) from exc
-            entries.append((address, blocks))
+                )
+            entries.append((address, int(raw)))
     return ProducerDataset(tuple(entries))
 
 
@@ -117,7 +118,8 @@ def shannon_entropy(counts: list[float]) -> float:
     total = math.fsum(counts)
     if total == 0:
         raise DomainError("entropy requires at least one positive value")
-    return -math.fsum(
+    # 0.0 - x rather than -x: a single count gives +0.0, not -0.0
+    return 0.0 - math.fsum(
         (c / total) * math.log2(c / total) for c in counts if c > 0
     )
 

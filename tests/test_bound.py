@@ -2,7 +2,6 @@ import concurrent.futures
 import math
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,11 +14,9 @@ from decentsim.bound import (
     estimate_g,
     exact_g,
     jump_prob,
-    poor_win_prob,
     real_world_anchors,
     sweep,
     u_sensitivity,
-    walk_step,
 )
 from decentsim.errors import BudgetError, DomainError
 
@@ -66,40 +63,6 @@ class TestJumpProb:
         assert jump_prob(WalkState(a=a, b=b), 0.0, rho) <= jump_prob(
             WalkState(a=a, b=b2), 0.0, rho
         )
-
-
-class TestWalkStep:
-    def test_micro_probability_at_equal_terms(self):
-        state = WalkState(a=1.0, b=1e-3)
-        assert poor_win_prob(state, params(u=0.1, rho=0.1)) == pytest.approx(0.5)
-
-    def test_max_step_probability(self):
-        state = WalkState(a=3.0, b=1.0)
-        p = poor_win_prob(state, params(f=0.5, strategy="max-step"))
-        assert p == pytest.approx(1.0 / 4.0)
-
-    def test_tiny_steps_almost_always_advance_the_poor(self):
-        state = WalkState(a=1.0, b=1e-4)
-        assert poor_win_prob(state, params(u=1e-9)) > 0.999_999
-
-    def test_both_branches_reachable(self):
-        rng = np.random.default_rng(3)
-        p = params(u=0.1)
-        outcomes = set()
-        state = WalkState(a=1.0, b=1e-3)
-        for _ in range(100):
-            nxt = walk_step(state, p, rng)
-            outcomes.add((nxt.a, nxt.k))
-        assert (1.0, 0) in outcomes  # poor gained
-        assert (1.1, 1) in outcomes  # rich gained
-
-    def test_rejects_non_micro_strategy(self):
-        with pytest.raises(DomainError):
-            walk_step(WalkState(1.0, 1e-3), params(strategy="max-step"), np.random.default_rng(0))
-
-    def test_rejects_finished_walk(self):
-        with pytest.raises(DomainError):
-            walk_step(WalkState(1.0, 1.0), params(f=0.99), np.random.default_rng(0))
 
 
 class TestEstimate:

@@ -62,6 +62,22 @@ class TestMetricsCommand:
         assert code == 3
         assert "DomainError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["1_0", "+4", "١٢"])
+    def test_lax_block_count_exit_code(self, raw, tmp_path, capsys):
+        path = tmp_path / "lax.csv"
+        path.write_text(f"address,blocks\nalice,{raw}\nbob,3\n", encoding="utf-8")
+        assert main(["metrics", "--input", str(path)]) == 3
+        assert "base-10 integer" in capsys.readouterr().err
+
+    def test_single_producer_level_prints_positive_zero(self, tmp_path, capsys):
+        # the 50% and 33% levels hold alice alone
+        path = tmp_path / "top.csv"
+        path.write_text("address,blocks\nalice,10\nbob,5\ncarol,5\n", encoding="utf-8")
+        assert main(["metrics", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"entropy_bits": 0.0' in out
+        assert "-0.0" not in out
+
 
 class TestCheckCommand:
     def test_fixed_cost_merge_example(self, tmp_path):
@@ -629,7 +645,7 @@ class TestStreamedSimulate:
             assert results.pop("trajectories_dir") == str(out_dir)
             written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
             assert written == files
-        if len(trajectories) >= 30:
+        if len(trajectories) >= dynamics.MIN_SLOPE_SEEDS:
             if blocks != "default":
                 # the slopes do not depend on the blocks either
                 monkeypatch.setattr(dynamics, "RECORD_BLOCK", default_blocks[0])

@@ -5,9 +5,11 @@ import pytest
 
 from decentsim.config import echo_values, parse_config
 from decentsim.errors import ConfigError
+from test_acceptance import desk_config
 
 # checked-in run configs, one directory per subcommand
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*/*.json"))
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIG_DIR.glob("*/*.json"))
 
 
 class TestBoundSchema:
@@ -104,7 +106,18 @@ class TestEcho:
 
 class TestCheckedInConfigs:
     def test_configs_exist(self):
-        assert {path.parent.name for path in CONFIGS} == {"bound", "sweep", "check"}
+        assert {path.parent.name for path in CONFIGS} == {"bound", "sweep", "check", "simulate"}
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
+    def test_trichotomy_configs_are_the_desk_setup(self, gamma):
+        desk = desk_config(gamma)
+        cfg = parse_config("simulate", file=CONFIG_DIR / f"simulate/trichotomy_gamma_{gamma}.json")
+        assert (cfg["model"], cfg["br"], cfg["gamma"]) == ("gamma", desk.model.b_r, gamma)
+        assert (cfg["r"], cfg["r_max"]) == (desk.reward.r, desk.reward.r_max)
+        assert (cfg["horizon"], cfg["n_nodes"]) == (desk.horizon, desk.n_nodes)
+        assert (cfg["init"], cfg["init_exponent"]) == ("power-law", desk.init.exponent)
+        assert tuple(cfg["seeds"]) == desk.seeds
+        assert (cfg["epsilon"], cfg["delta"], cfg["window"]) == (desk.epsilon, desk.delta, 0)
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: f"{path.parent.name}/{path.stem}")
     def test_parses(self, path):

@@ -306,12 +306,6 @@ class TestDrawBlocks:
             assert np.array_equal(a.winners, b.winners)
 
 
-def _final_fraction_ratio(betas: np.ndarray, delta: float) -> float:
-    n = betas.size
-    rank = min(max(math.ceil(delta / 100.0 * n), 1), n)
-    return float(betas.max() / np.sort(betas)[rank - 1])
-
-
 class TestSummarize:
     """``summarize`` against ``ed_verdict`` on the full trajectories."""
 
@@ -411,16 +405,25 @@ class TestSummarize:
         summary = summarize(config)
         assert summary.seeds == config.seeds
         assert np.array_equal(summary.final_betas, np.stack([t.betas[-1] for t in trajs]))
-        assert list(summary.final_ratios) == [
-            _final_fraction_ratio(t.betas[-1], config.delta) for t in trajs
-        ]
+        assert list(summary.final_ratios) == [t.ratios[-1] for t in trajs]
         assert summary.verdict == expected
         for betas, seed in zip(summary.final_betas, config.seeds):
             assert np.array_equal(betas, replay_final_betas(config, seed))
 
     def test_window_bounds(self):
-        with pytest.raises(DomainError):
-            summarize(gamma_config(horizon=0))
+        class Calls(list):
+            def record(self, t0, states, winners):
+                self.append((t0, states.copy(), winners))
+
+        # at horizon 0 there is no window to check, not even one too long
+        calls = Calls()
+        summary = summarize(gamma_config(horizon=0, seeds=(0, 1), window=5), [calls])
+        assert summary.verdict is None
+        [(t0, states, winners)] = calls
+        assert (t0, winners) == (0, None)
+        assert np.array_equal(states, [[[4.0, 1.0], [4.0, 1.0]]])
+        assert np.array_equal(summary.final_betas, [[0.8, 0.2], [0.8, 0.2]])
+        assert list(summary.final_ratios) == [4.0, 4.0]
         with pytest.raises(DomainError):
             summarize(gamma_config(horizon=10, window=11))
 

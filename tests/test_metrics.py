@@ -115,6 +115,8 @@ class TestEntropy:
 
     def test_single_producer(self):
         assert shannon_entropy([42]) == 0.0
+        assert math.copysign(1.0, shannon_entropy([42])) == 1.0
+        assert math.copysign(1.0, shannon_entropy([0, 7, 0])) == 1.0
 
     def test_three_one(self):
         expected = -0.75 * math.log2(0.75) - 0.25 * math.log2(0.25)
@@ -162,7 +164,7 @@ class TestReport:
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "producers.csv"
-        path.write_text("address,blocks\nalice,5\nbob,3\n", encoding="utf-8")
+        path.write_text("address,blocks\nalice,5\nbob, 003 \n", encoding="utf-8")
         ds = load_producer_csv(path)
         assert ds.entries == (("alice", 5), ("bob", 3))
 
@@ -176,10 +178,19 @@ class TestDatasetIO:
         with pytest.raises(DomainError):
             load_producer_csv(path)
 
-    def test_non_integer_blocks(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw", ["5.5", "1_0", "+4", "\u0661\u0662", "", "-", "--4", "1e3", "0x1f"]
+    )
+    def test_non_integer_blocks(self, raw, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("address,blocks\nalice,5.5\n", encoding="utf-8")
-        with pytest.raises(DomainError):
+        path.write_text(f"address,blocks\nalice,{raw}\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="base-10 integer"):
+            load_producer_csv(path)
+
+    def test_negative_count_reaches_range_check(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("address,blocks\nalice, -4 \n", encoding="utf-8")
+        with pytest.raises(DomainError, match="non-negative"):
             load_producer_csv(path)
 
     def test_duplicate_addresses(self):
