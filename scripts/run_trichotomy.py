@@ -66,12 +66,12 @@ def run_one(gamma: float, horizon: int, n_seeds: int, seed0: int) -> None:
         stats = slopes.stats()
         print(f"  slope of poorest node's fraction: {stats.slope_min:+.2e} (se {stats.se_min:.1e})")
         print(f"  slope of richest node's fraction: {stats.slope_max:+.2e} (se {stats.se_max:.1e})")
-    if gamma == 1.0:
-        init = build_initial_powers(config.init, N_NODES)
-        beta0 = init / init.sum()
+    if gamma == 1.0 and n_seeds >= 2:
         se = fractions.std(axis=0, ddof=1) / math.sqrt(n_seeds)
-        z = np.abs(fractions.mean(axis=0) - beta0) / se
-        print(f"  martingale check: max |z| over nodes = {z.max():.2f}")
+        if se.all():  # no z-score where every seed ends alike, as at horizon 0
+            init = build_initial_powers(config.init, N_NODES)
+            z = np.abs(fractions.mean(axis=0) - init / init.sum()) / se
+            print(f"  martingale check: max |z| over nodes = {z.max():.2f}")
 
 
 def main() -> None:

@@ -2,9 +2,8 @@
 
 Models block-producer incentive systems, decides the reward-coverage,
 no-merge and no-split conditions numerically, simulates reinvestment
-dynamics, computes the rich-poor catch-up probability bound (exactly by
-dynamic programming, or by Monte Carlo), and computes concentration
-metrics over producer datasets.
+dynamics, computes the rich-poor catch-up probability bound exactly by dynamic
+programming, and computes concentration metrics over producer datasets.
 """
 
 __version__ = "0.1.0"
@@ -58,7 +57,6 @@ from .bound import (
     BoundEstimate,
     WalkParams,
     WalkState,
-    compute_g,
     estimate_g,
     exact_g,
     jump_prob,

@@ -7,14 +7,14 @@ closed form gives the chance of closing the whole remaining gap in a
 single poor win ("jump"); between jumps the poor node climbs in relative
 micro-steps of size u.  The bound G(f, rho) for the target epsilon is the
 expected union probability of the jump events seen at every rich-gain
-arrival along that micro-step walk.
+arrival along that micro-step walk.  The max-step strategy is the
+physical walk instead: both contenders gain rho per win, and success
+means walking into the target zone.
 
-``exact_g`` computes that expectation for the micro and hybrid walks by
-dynamic programming; ``estimate_g`` samples them, and the physical
-max-step walk, by Monte Carlo, as the reference for the exact path and
-the only path for max-step.  ``compute_g`` picks the path from the
-strategy.  Both report contributions per rich-gain count k, so the
-discarded tail beyond k_max is visible.
+``exact_g`` computes every strategy's bound by dynamic programming;
+``estimate_g`` samples the micro and hybrid walks by Monte Carlo, as the
+reference the exact path is tested against.  Both report contributions
+per rich-gain count k, so the discarded tail beyond k_max is visible.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 import os
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Callable
 
 import numpy as np
 
@@ -33,6 +32,10 @@ CHUNK_SIZE = 1_000_000
 
 # most lines k = 0..k_max a result may list in its per-line table
 MAX_LINES = 10**6
+
+# most cells one exact DP line may hold: climb counts (micro, hybrid) or
+# poor wins (max-step)
+MAX_LINE_CELLS = 10**7
 
 STRATEGIES = ("micro", "max-step", "hybrid")
 
@@ -263,50 +266,7 @@ def _micro_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
     )
 
 
-def _max_step_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
-    """Physical capped walk: both contenders gain at most rho per win and
-    success means actually walking into the target zone."""
-    one_eps = 1.0 + params.epsilon
-    rho = params.rho
-    max_steps = params.k_max + int(math.ceil((1.0 + params.k_max * rho) / rho)) + 2
-    rng = _chunk_rng(params.seed, chunk_index)
-    a = np.ones(m)
-    b = np.full(m, params.f)
-    k = np.zeros(m, dtype=np.int64)
-    score = np.zeros(m)
-    p0 = np.zeros(m)
-    per_k = np.zeros(params.k_max + 1)
-    alive = np.ones(m, dtype=bool)  # estimate_g handles a start on target
-    for _ in range(max_steps):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        q = b[idx] / (a[idx] + b[idx])
-        poor_wins = rng.random(idx.size) < q
-        b[idx[poor_wins]] += rho
-        rich = idx[~poor_wins]
-        a[rich] += rho
-        k[rich] += 1
-        reached = a[idx] / b[idx] <= one_eps
-        over = k[idx] > params.k_max
-        hits = idx[reached & ~over]
-        score[hits] = 1.0
-        np.add.at(per_k, k[hits], 1.0)
-        p0[hits[k[hits] == 0]] = 1.0
-        alive[idx[reached | over]] = False
-    return (
-        float(score.sum()),
-        float((score**2).sum()),
-        float(p0.sum()),
-        float((p0**2).sum()),
-        0.0,
-        per_k,
-    )
-
-
-def _run_chunks(
-    chunk_fn: Callable[[WalkParams, int, int], ChunkSums], params: WalkParams
-) -> list[ChunkSums]:
+def _run_chunks(params: WalkParams) -> list[ChunkSums]:
     """Partial sums of every chunk, in chunk-index order.
 
     Chunks run on a process pool when there are several and more than one
@@ -326,8 +286,8 @@ def _run_chunks(
         # spawned, not forked: numpy's BLAS has threads running already
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return list(pool.map(chunk_fn, repeat(params), range(len(sizes)), sizes))
-    return [chunk_fn(params, i, m) for i, m in enumerate(sizes)]
+            return list(pool.map(_micro_chunk, repeat(params), range(len(sizes)), sizes))
+    return [_micro_chunk(params, i, m) for i, m in enumerate(sizes)]
 
 
 def _finalize(params: WalkParams, chunks: list[ChunkSums]) -> BoundEstimate:
@@ -357,44 +317,42 @@ def _finalize(params: WalkParams, chunks: list[ChunkSums]) -> BoundEstimate:
 
 
 def estimate_g(params: WalkParams) -> BoundEstimate:
-    """Estimate the catch-up bound for the given walk parameters."""
+    """Monte Carlo estimate of the micro or hybrid catch-up bound."""
+    if params.strategy == "max-step":
+        raise DomainError("estimate_g covers the micro and hybrid strategies only")
     _check_budget(params)
     _check_lines(params)
     if 1.0 / params.f <= 1.0 + params.epsilon:
         return _trivial_estimate(params)
-    if params.strategy == "max-step":
-        chunk_fn = _max_step_chunk
-    else:
-        _check_climb_range(params)
-        chunk_fn = _micro_chunk
-    return _finalize(params, _run_chunks(chunk_fn, params))
+    _check_climb_range(params)
+    return _finalize(params, _run_chunks(params))
 
 
-def exact_g(params: WalkParams) -> BoundEstimate:
-    """The expectation ``_micro_chunk`` samples, computed exactly.
+def _check_dp_size(params: WalkParams, formula: str, cells: float, width: float) -> None:
+    """Refuse a DP over the cell budget, the line cap or the line-width
+    cap, before any array is built."""
+    if cells > params.budget:
+        raise BudgetError(
+            f"{formula} = {cells:.3g} exact DP cells exceed budget {params.budget:.3g}"
+        )
+    _check_lines(params)
+    if width > MAX_LINE_CELLS:
+        raise BudgetError(f"one DP line of {width:.3g} cells exceeds the cap of {MAX_LINE_CELLS}")
+
+
+def _micro_lines(params: WalkParams) -> tuple[np.ndarray, np.ndarray]:
+    """The expectation ``_micro_chunk`` samples, per line: jump and dense
+    success mass.
 
     Line k's survival mass over climb counts c < N_{k-1} loses mass * jump
     to per_k[k]; the rest, w, climbs at least j steps with probability
     q**j, q = 1 / (1 + a*u/rho).  With S[c] = q*S[c-1] + w[c] over
     c < N_k, the next line's mass is (1-q) * S and q * S[N_k - 1]
-    completes densely.  Samples and seed play no part.
+    completes densely.
     """
-    if params.strategy == "max-step":
-        raise DomainError("exact_g covers the micro and hybrid strategies only")
-    if 1.0 / params.f <= 1.0 + params.epsilon:
-        # the per-line table alone holds k_max + 1 cells
-        if params.k_max + 1 > params.budget:
-            raise BudgetError(f"k_max+1 = {params.k_max + 1:.3g} exact DP cells exceed "
-                              f"budget {params.budget:.3g}")
-        _check_lines(params)
-        return replace(_trivial_estimate(params), samples=0)
     _check_climb_range(params)
-    cells = (params.k_max + 1) * _climbs_needed(params, 1.0 + params.k_max * params.rho)
-    if cells > params.budget:
-        raise BudgetError(
-            f"(k_max+1)*N = {cells:.3g} exact DP cells exceed budget {params.budget:.3g}"
-        )
-    _check_lines(params)
+    width = _climbs_needed(params, 1.0 + params.k_max * params.rho)
+    _check_dp_size(params, "(k_max+1)*N", (params.k_max + 1) * width, width)
     mass = np.ones(1)
     per_k = np.zeros(params.k_max + 1)
     dense = np.zeros(params.k_max + 1)
@@ -414,6 +372,68 @@ def exact_g(params: WalkParams) -> BoundEstimate:
             shift *= 2
         dense[k] = math.exp(log_q) * prefix[-1]
         mass = prefix * -math.expm1(log_q)
+    return per_k, dense
+
+
+def _max_step_lines(params: WalkParams) -> tuple[np.ndarray, np.ndarray]:
+    """Success mass of the max-step walk per line, on its win lattice.
+
+    Line i holds the walks with i rich wins, a = 1 + i*rho, over poor wins
+    j, b = f + j*rho.  At (i, j) the poor node wins the next block with
+    q_j = b / (a + b); the line's mass follows S[j] = q_{j-1}*S[j-1] + w[j]
+    for the inflow w, and reaches the target at the first j with
+    a / b <= 1 + eps, N_i.  That success, q * S at N_i - 1, is per_k[i];
+    (1-q) * S moves on to line i + 1, and past k_max it is dropped.
+    Rich wins only move away from the target, so no other step succeeds.
+    """
+    one_eps, f, rho = 1.0 + params.epsilon, params.f, params.rho
+    a_last = 1.0 + params.k_max * rho
+    # in floats: at a fine rho the width is far past any array size
+    width = (a_last / one_eps - f) / rho
+    _check_dp_size(params, "(k_max+1)*N", (params.k_max + 1) * width, width)
+    # b up to a poor-win count that meets the target on the last line, in
+    # the rounded floats the target test uses; the estimate above misses
+    # it only where adding rho to b rounds away
+    top = max(math.ceil(width), 0) + 1
+    while not a_last / (f + top * rho) <= one_eps:
+        if top >= MAX_LINE_CELLS:
+            raise BudgetError(f"one DP line exceeds the cap of {MAX_LINE_CELLS} cells")
+        top = min(2 * top, MAX_LINE_CELLS)
+    b = f + np.arange(top + 1) * rho
+    mass = np.ones(1)
+    per_k = np.zeros(params.k_max + 1)
+    for i in range(params.k_max + 1):
+        a = 1.0 + i * rho
+        n = int(np.count_nonzero(a / b > one_eps))
+        q = b[:n] / (a + b[:n])
+        line = np.zeros(n)
+        line[: mass.size] = mass
+        # S[j] = sum over t of q_{j-t}...q_{j-1} w[j-t], by doubling the
+        # summed window; coef[j] is the product of the window's q's, and
+        # once every product underflows the longer terms are all 0
+        coef = np.zeros(n)
+        coef[1:] = q[:-1]
+        shift = 1
+        while shift < n and coef.any():
+            line[shift:] += coef[shift:] * line[:-shift]
+            coef[shift:] *= coef[:-shift]
+            shift *= 2
+        per_k[i] = q[-1] * line[-1]
+        mass = line * (1.0 - q)
+    return per_k, np.zeros(params.k_max + 1)
+
+
+def exact_g(params: WalkParams) -> BoundEstimate:
+    """The catch-up bound by dynamic programming, for every strategy.
+
+    Samples and seed play no part: the result has no sampling error.
+    """
+    if 1.0 / params.f <= 1.0 + params.epsilon:
+        # the per-line table alone holds k_max + 1 cells
+        _check_dp_size(params, "k_max+1", params.k_max + 1, 0)
+        return replace(_trivial_estimate(params), samples=0)
+    lines = _max_step_lines if params.strategy == "max-step" else _micro_lines
+    per_k, dense = lines(params)
     estimate = math.fsum(per_k) + math.fsum(dense)
     return BoundEstimate(
         estimate=estimate,
@@ -427,12 +447,6 @@ def exact_g(params: WalkParams) -> BoundEstimate:
         samples=0,
         params=params,
     )
-
-
-def compute_g(params: WalkParams) -> BoundEstimate:
-    """The catch-up bound: exact for the micro and hybrid walks, and the
-    Monte Carlo estimate for max-step, which has no exact path."""
-    return estimate_g(params) if params.strategy == "max-step" else exact_g(params)
 
 
 @dataclass(frozen=True)
@@ -451,45 +465,24 @@ def sweep(
     rho_values: list[float],
     params: WalkParams,
 ) -> list[SweepRow]:
-    """The bound over a full f x epsilon x rho grid, one ``compute_g`` per
-    cell.
-
-    Monte Carlo (max-step) cells all reuse the master seed, so they are
-    coupled by common random numbers and the monotone trends in f and
-    epsilon are visible even at modest sample counts.
-    """
+    """The bound over a full f x epsilon x rho grid, one ``exact_g`` per
+    cell."""
     if not f_values or not epsilon_values or not rho_values:
         raise DomainError("sweep grids must be non-empty")
     rows = []
     for rho in rho_values:
         for eps in epsilon_values:
             for f in f_values:
-                cell = replace(params, f=f, epsilon=eps, rho=rho)
-                result = compute_g(cell)
-                rows.append(
-                    SweepRow(
-                        f=f,
-                        epsilon=eps,
-                        rho=rho,
-                        estimate=result.estimate,
-                        ci_low=result.ci_low,
-                        ci_high=result.ci_high,
-                    )
-                )
+                result = exact_g(replace(params, f=f, epsilon=eps, rho=rho))
+                rows.append(SweepRow(f, eps, rho, result.estimate, result.ci_low, result.ci_high))
     return rows
 
 
 def u_sensitivity(
-    params: WalkParams, u_values: tuple[float, ...] = (1e-2, 1e-3, 1e-4), samples: int | None = None
+    params: WalkParams, u_values: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
 ) -> list[tuple[float, float]]:
-    """The bound at several micro-step granularities; ``samples`` (by
-    default a tenth of the params' samples) applies to max-step only."""
-    n = samples if samples is not None else max(params.samples // 10, 10_000)
-    out = []
-    for u in u_values:
-        result = compute_g(replace(params, u=u, samples=n))
-        out.append((u, result.estimate))
-    return out
+    """The bound at several micro-step granularities."""
+    return [(u, exact_g(replace(params, u=u)).estimate) for u in u_values]
 
 
 def real_world_anchors() -> dict[str, float]:

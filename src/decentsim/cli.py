@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .bound import SweepRow, WalkParams, compute_g, real_world_anchors, sweep, u_sensitivity
+from .bound import SweepRow, WalkParams, exact_g, real_world_anchors, sweep, u_sensitivity
 from .conditions import check_all, check_linearity
 from .config import SCHEMAS, RunConfig, echo_values, parse_config
 from .core import PlayerMap, PowerVector, RewardParams
@@ -175,7 +175,7 @@ def _walk_params(cfg: RunConfig, f: float, rho: float, epsilon: float) -> WalkPa
 
 def _run_bound(cfg: RunConfig) -> dict[str, Any]:
     params = _walk_params(cfg, cfg["f"], cfg["rho"], cfg["epsilon"])
-    result = compute_g(params)
+    result = exact_g(params)
     results: dict[str, Any] = {
         "estimate": result.estimate,
         "ci_low": result.ci_low,

@@ -196,10 +196,11 @@ def check_nd(
         raise SearchBoundError(
             f"{n} nodes exceeds the merge search bound of {max_nodes}"
         )
-    sizes = Counter(len(survivors) for _, survivors in _merges(pm, m))
+    merges = list(_merges(pm, m))
+    sizes = Counter(len(survivors) for _, survivors in merges)
     _check_search_size("merge", grid, max(sizes, default=0), sizes.__getitem__)
     best: MergeWitness | None = None
-    for subset, survivors in _merges(pm, m):
+    for subset, survivors in merges:
         separate = math.fsum(realized_utility(model, i, pv) for i in subset)
         pool = math.fsum(pv.powers[i] for i in subset)
         keep = tuple(pv.powers[i] for i in range(n) if i not in subset)

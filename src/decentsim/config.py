@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .bound import STRATEGIES
 from .errors import ConfigError
 from .incentives import MODELS, Linear
 
@@ -96,12 +97,12 @@ WALK_KEYS = [
     Key("epsilon", "float", default=0.0),
     Key("u", "float", default=1e-3, help="poor node's relative gain per micro-step"),
     Key("k_max", "int", default=100, help="rich-gain truncation"),
-    Key("samples", "int", default=100_000, help="Monte Carlo walks (max-step only)"),
-    Key("seed", "int", default=0, help="Monte Carlo seed (max-step only)"),
-    Key("strategy", "str", default="micro", choices=("micro", "max-step", "hybrid")),
+    Key("samples", "int", default=100_000, help="ignored: every strategy is computed exactly"),
+    Key("seed", "int", default=0, help="ignored: every strategy is computed exactly"),
+    Key("strategy", "str", default="micro", choices=STRATEGIES),
     Key("n_jump", "int", default=1, help="max-size wins a hybrid jump may span"),
     Key("budget", "float", default=4e9,
-        help="cap on samples * k_max (max-step) or on exact DP cells (micro, hybrid)"),
+        help="cap on exact DP cells: (k_max + 1) x the widest line"),
 ]
 
 # simulate takes the lottery models only, and their keys, with br required

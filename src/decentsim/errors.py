@@ -23,7 +23,8 @@ class SearchBoundError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """Requested Monte Carlo work exceeds the configured sample budget."""
+    """Requested work exceeds the configured budget (exact DP cells, or
+    Monte Carlo samples * k_max) or a fixed size cap (lines, line width)."""
 
 
 class UnsupportedModelError(TypeError):

@@ -250,6 +250,8 @@ class ThresholdCoverSybilCost:
     margin: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.margin):
+            raise DomainError("margin must be finite")
         if self.margin < 0:
             raise DomainError("margin must be >= 0")
 

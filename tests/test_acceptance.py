@@ -73,7 +73,7 @@ def bound_anchor():
     )
     started = time.perf_counter()
     result = estimate_g(params)
-    sensitivity = u_sensitivity(params, samples=1_000_000)
+    sensitivity = u_sensitivity(params)
     elapsed = time.perf_counter() - started
     return result, sensitivity, elapsed
 

@@ -1,7 +1,9 @@
 import concurrent.futures
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,6 @@ from decentsim.bound import (
     REAL_WORLD_ANCHORS,
     WalkParams,
     WalkState,
-    compute_g,
     estimate_g,
     exact_g,
     jump_prob,
@@ -18,7 +19,10 @@ from decentsim.bound import (
     sweep,
     u_sensitivity,
 )
+from decentsim.core import RewardParams
+from decentsim.dynamics import ExplicitInit, SimConfig, run_seeds
 from decentsim.errors import BudgetError, DomainError
+from decentsim.incentives import GammaReward
 
 
 def params(**kw):
@@ -130,11 +134,15 @@ class TestEstimate:
     def test_max_step_walk_probabilities(self):
         # from (1, 0.5) with rho=0.1 and eps=1 the poor node needs no win:
         # ratio is already 2 = 1 + eps
-        result = estimate_g(params(f=0.5, epsilon=1.0, strategy="max-step", samples=100))
-        assert result.estimate == 1.0
+        result = exact_g(params(f=0.5, epsilon=1.0, strategy="max-step"))
+        assert result.estimate == result.p0 == result.per_k[0] == 1.0
         # a genuine race stays a probability
-        result = estimate_g(params(f=0.5, epsilon=0.0, strategy="max-step", samples=5_000))
+        result = exact_g(params(f=0.5, epsilon=0.0, strategy="max-step"))
         assert 0.0 < result.estimate < 1.0
+
+    def test_refuses_max_step(self):
+        with pytest.raises(DomainError, match="micro and hybrid"):
+            estimate_g(params(strategy="max-step"))
 
     def test_p0_respects_the_analytic_bound(self):
         for f, eps in ((1e-4, 0.0), (0.5, 0.0), (1e-3, 9.0)):
@@ -254,18 +262,81 @@ class TestExactChainOracle:
             mass = nxt
         return per_k
 
-    def test_max_step_matches_exact_lattice(self):
-        # no lattice point sits on the target ratio, so the float rounding
-        # of b (summed in the kernel, multiplied here) decides no success
-        f, rho, eps, k_max = 0.45, 0.1, 0.05, 20
+    @pytest.mark.parametrize(
+        "f, rho, eps, k_max",
+        [
+            (0.45, 0.1, 0.05, 20),  # no lattice point near the target
+            (1e-4, 0.1, 0.0, 100),  # the anchor
+            # lattice points on or next to the target ratio, where the float
+            # rounding of a / b decides the success
+            (0.5, 0.1, 0.0, 30),
+            (0.3, 0.1, 0.0, 10),
+            (0.1, 0.1, 0.0, 50),
+            (0.2, 0.2, 0.0, 15),
+            (0.25, 0.25, 0.0, 8),
+            (0.05, 0.05, 1.0, 40),
+            (0.4, 0.2, 0.25, 12),
+            # b + rho rounds to b: the width estimate in floats is 0
+            (0.55, 1e-17, 0.8181818181818179, 3),
+        ],
+    )
+    def test_max_step_matches_exact_lattice(self, f, rho, eps, k_max):
         exact_per_k = self.max_step_dp(f, rho, eps, k_max)
-        result = estimate_g(
-            params(f=f, rho=rho, epsilon=eps, k_max=k_max, samples=200_000, strategy="max-step")
+        result = exact_g(params(f=f, rho=rho, epsilon=eps, k_max=k_max, strategy="max-step"))
+        assert result.per_k == pytest.approx(exact_per_k, rel=1e-12, abs=0)
+        assert result.estimate == pytest.approx(math.fsum(exact_per_k), rel=1e-12, abs=0)
+        assert result.p0 == result.per_k[0]
+        assert result.dense_success_mass == result.std_error == result.p0_std_error == 0.0
+        assert result.ci_low == result.estimate == result.ci_high
+
+
+class TestMaxStepLaw:
+    """The max-step walk is the two-node exponent-1 lottery in which every
+    win adds rho to the winner's power: the simulator draws the physical
+    walk that the lattice DP solves."""
+
+    class FirstHitRecorder:
+        """Per seed, the rich wins before the first step with a/b <= 1 + eps
+        while there have been at most k_max of them; -1 if there is none."""
+
+        def __init__(self, n_seeds, one_eps, k_max):
+            self.one_eps, self.k_max = one_eps, k_max
+            self.rich_wins = np.zeros(n_seeds, dtype=np.int64)
+            self.line = np.full(n_seeds, -1)
+
+        def record(self, t0, states, winners):
+            if winners is None:
+                return  # the start is off target
+            for state, winner in zip(states, winners):
+                self.rich_wins += winner == 0
+                hit = (
+                    (self.line < 0)
+                    & (self.rich_wins <= self.k_max)
+                    & (state[:, 0] / state[:, 1] <= self.one_eps)
+                )
+                self.line[hit] = self.rich_wins[hit]
+
+    def test_simulated_walk_matches_the_lattice(self):
+        # no lattice point near the target: the simulator sums the powers,
+        # the lattice multiplies, and their rounding must decide no success
+        f, rho, eps, k_max, n = 0.45, 0.1, 0.05, 20, 20_000
+        exact = exact_g(params(f=f, rho=rho, epsilon=eps, k_max=k_max, strategy="max-step"))
+        sim = SimConfig(
+            model=GammaReward(b_r=rho, gamma=1.0),
+            reward=RewardParams(r=1.0, r_max=rho),
+            # the last success with k_max rich wins needs 25 poor wins
+            horizon=k_max + 25,
+            n_nodes=2,
+            init=ExplicitInit((1.0, f)),
+            seeds=tuple(range(n)),
         )
-        assert abs(result.estimate - math.fsum(exact_per_k)) <= 4 * result.std_error
-        assert result.p0 == pytest.approx(exact_per_k[0], abs=5e-3)
-        for k in range(k_max + 1):
-            assert result.per_k[k] == pytest.approx(exact_per_k[k], abs=5e-3)
+        recorder = self.FirstHitRecorder(n, 1.0 + eps, k_max)
+        run_seeds(sim, [recorder])
+        hits = recorder.line[recorder.line >= 0]
+        observed = [hits.size / n] + list(np.bincount(hits, minlength=k_max + 1) / n)
+        expected = [exact.estimate, *exact.per_k]
+        for seen, p in zip(observed, expected):
+            assert abs(seen - p) <= 4 * math.sqrt(p * (1 - p) / n)
 
 
 class TestChunkPool:
@@ -273,8 +344,8 @@ class TestChunkPool:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(), dict(f=0.5, rho=0.5), dict(f=0.5, epsilon=0.0, strategy="max-step")],
-        ids=["micro", "micro-dense", "max-step"],
+        [dict(), dict(f=0.5, rho=0.5)],
+        ids=["micro", "micro-dense"],
     )
     def test_pool_matches_inline_chunks(self, kw, monkeypatch):
         monkeypatch.setattr(bound, "CHUNK_SIZE", 7_000)
@@ -290,9 +361,8 @@ class TestChunkPool:
         p = params(samples=20_000, **kw)
         pooled = estimate_g(p)
         assert pools == [3]  # 3 chunks of at most 7000 samples
-        chunk_fn = bound._max_step_chunk if p.strategy == "max-step" else bound._micro_chunk
         inline = bound._finalize(
-            p, [chunk_fn(p, i, m) for i, m in enumerate((7_000, 7_000, 6_000))]
+            p, [bound._micro_chunk(p, i, m) for i, m in enumerate((7_000, 7_000, 6_000))]
         )
         assert pooled == inline
 
@@ -320,19 +390,32 @@ class TestExactG:
         result = exact_g(params(f=0.5, epsilon=1.0))
         assert result.estimate == result.p0 == result.per_k[0] == 1.0
 
-    def test_compute_g_picks_the_path_from_the_strategy(self):
-        assert compute_g(params()) == exact_g(params())
-        assert compute_g(params(strategy="hybrid")) == exact_g(params(strategy="hybrid"))
-        p = params(f=0.5, strategy="max-step", samples=2_000)
-        assert compute_g(p) == estimate_g(p)
-        with pytest.raises(DomainError):
-            exact_g(p)
+    def test_samples_and_seed_play_no_part(self):
+        for strategy in bound.STRATEGIES:
+            one = exact_g(params(strategy=strategy))
+            other = exact_g(params(strategy=strategy, samples=1, seed=7))
+            assert (one.estimate, one.per_k) == (other.estimate, other.per_k)
 
     def test_dp_cell_budget(self):
         # 101 lines of about 11,600 climb counts each
         with pytest.raises(BudgetError, match="DP cells"):
             exact_g(params(budget=1e6))
         assert exact_g(params(budget=1.2e6)).estimate > 0
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            # 2% of the default budget, in lines of about 5e7 poor wins
+            (dict(f=0.5, rho=1e-8, k_max=1), "one DP line of 5e+07 cells exceeds the cap"),
+            # the width estimate is 0, but b + rho rounds to b until j*rho
+            # reaches half an ulp of b, far past the cap
+            (dict(f=0.55, rho=1e-30, epsilon=0.8181818181818179), "one DP line exceeds the cap"),
+        ],
+        ids=["estimate", "rounding"],
+    )
+    def test_max_step_line_width_cap(self, kw, message):
+        with pytest.raises(BudgetError, match=re.escape(message)):
+            exact_g(params(strategy="max-step", **kw))
 
     def test_climb_range_checked_before_the_budget(self):
         with pytest.raises(DomainError, match="2\\*\\*53"):
@@ -407,7 +490,7 @@ class TestAnchorsAndSensitivity:
         assert anchors["rho_max"] == 9.5e-4
 
     def test_u_sensitivity_is_stable(self):
-        values = u_sensitivity(params(samples=100_000), samples=20_000)
+        values = u_sensitivity(params())
         assert [u for u, _ in values] == [1e-2, 1e-3, 1e-4]
         estimates = [e for _, e in values]
         spread = (max(estimates) - min(estimates)) / max(estimates)

@@ -3,11 +3,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from decentsim.config import parse_config
 from decentsim.core import RewardParams
 from decentsim.dynamics import SimConfig, SlopeAccumulator, ed_verdict, simulate
 from test_dynamics import replay_final_betas
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -203,12 +209,34 @@ class TestBoundCommand:
         assert results["std_error"] == results["p0_std_error"] == 0.0
         assert results["ci_low"] == results["estimate"] == results["ci_high"]
 
+    def test_max_step_anchor(self, tmp_path):
+        # every strategy is exact: the anchor's catch-up chance is far below
+        # what any affordable sample count could see
+        out = tmp_path / "bound.json"
+        code = main(["bound", "--f", "1e-4", "--rho", "0.1", "--strategy", "max-step",
+                     "--out", str(out)])
+        assert code == 0
+        report = read_report(out)
+        results = report["results"]
+        assert results["estimate"] == pytest.approx(2.7903076125e-7, rel=1e-9, abs=0)
+        assert results["std_error"] == results["p0_std_error"] == 0.0
+        assert results["ci_low"] == results["estimate"] == results["ci_high"]
+        assert results["p0"] == results["per_k"][0]
+        assert report["wall_time_s"] < 0.1
+
     def test_budget_exit_code(self, capsys):
-        code = main([
-            "bound", "--f", "1e-4", "--rho", "0.1", "--samples", str(10**9),
-            "--k_max", "10000", "--strategy", "max-step",
-        ])
+        # about 1e9 poor wins on each of the 101 lines
+        code = main(["bound", "--f", "1e-4", "--rho", "1e-9", "--strategy", "max-step"])
         assert code == 5
+        assert "exact DP cells exceed budget" in capsys.readouterr().err
+
+    def test_line_width_exit_code(self, capsys):
+        # 2% of the default budget, but one line of about 4.2e7 climb counts
+        started = time.perf_counter()
+        code = main(["bound", "--f", "1e-9", "--rho", "0.1", "--k_max", "1", "--u", "5e-7"])
+        assert time.perf_counter() - started < 0.5
+        assert code == 5
+        assert f"exceeds the cap of {bound.MAX_LINE_CELLS}" in capsys.readouterr().err
 
     def test_dp_cell_budget_exit_code(self, capsys):
         # about 9.2e9 climbs on the last line, times 101 lines
@@ -255,6 +283,25 @@ class TestBoundCommand:
     def test_empty_sweep_grid_exit_code(self, capsys):
         assert main(["sweep", "--f_grid=", "--epsilon_grid=0", "--rho_grid=0.1"]) == 3
         assert "DomainError: sweep grids must be non-empty" in capsys.readouterr().err
+
+
+class TestTrichotomyScript:
+    @pytest.mark.parametrize(
+        "horizon, seeds",
+        [("0", "30"), ("50", "1")],
+        ids=["seeds-end-alike", "one-seed"],
+    )
+    def test_no_spread_skips_the_martingale_check(self, horizon, seeds):
+        # neither run has a spread of the final fractions to scale by
+        done = subprocess.run(
+            [sys.executable, "-W", "error", str(ROOT / "scripts" / "run_trichotomy.py"),
+             "--gammas", "1.0", "--horizon", horizon, "--seeds", seeds],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "nan" not in done.stdout
+        assert "martingale" not in done.stdout
 
 
 class TestSimulateCommand:
@@ -413,8 +460,7 @@ def walk_argv(draw):
         "k_max": values["k_max"],
         "n_jump": values["n_jump"],
         "seed": draw(st.integers(0, 3)),
-        # small enough that every run is bounded: Monte Carlo samples * k_max
-        # and exact DP cells are both capped by the budget
+        # ignored by the exact paths, whose DP cells the budget caps
         "samples": draw(st.integers(1, 300)),
         "budget": repr(draw(st.sampled_from((3e3, 50.0, 0.0, -1.0)))),
     }
@@ -461,6 +507,8 @@ class TestNonFiniteInput:
             (["check", "--powers", "inf,1"], "powers"),
             (["check", "--gamma", "nan"], "gamma"),
             (["check", "--model", "linear", "--k", "inf"], "k"),
+            (["check", "--sybil", "threshold-cover", "--margin", "nan"], "margin"),
+            (["check", "--sybil", "threshold-cover", "--margin", "inf"], "margin"),
         ],
     )
     def test_non_finite_input_exit_code(self, argv, field, capsys):
