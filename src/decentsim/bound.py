@@ -33,6 +33,10 @@ CHUNK_SIZE = 1_000_000
 # most lines k = 0..k_max a result may list in its per-line table
 MAX_LINES = 10**6
 
+# most cells one exact DP may hold, (k_max + 1) x its widest line, and most
+# samples x lines one Monte Carlo estimate may draw
+MAX_CELLS = 4e9
+
 # most cells one exact DP line may hold: climb counts (micro, hybrid) or
 # poor wins (max-step)
 MAX_LINE_CELLS = 10**7
@@ -60,10 +64,9 @@ class WalkParams:
     seed: int = 0
     strategy: str = "micro"
     n_jump: int = 1
-    budget: float = 4e9
 
     def __post_init__(self) -> None:
-        for name in ("f", "rho", "epsilon", "u", "budget"):
+        for name in ("f", "rho", "epsilon", "u"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
         if not 0 < self.f <= 1:
@@ -126,10 +129,10 @@ class BoundEstimate:
 
 
 def _check_budget(params: WalkParams) -> None:
-    if params.samples * params.k_max > params.budget:
+    if params.samples * params.k_max > MAX_CELLS:
         raise BudgetError(
             f"samples*k_max = {params.samples * params.k_max:.3g} exceeds "
-            f"budget {params.budget:.3g}"
+            f"the cap of {MAX_CELLS:.3g}"
         )
 
 
@@ -329,11 +332,11 @@ def estimate_g(params: WalkParams) -> BoundEstimate:
 
 
 def _check_dp_size(params: WalkParams, formula: str, cells: float, width: float) -> None:
-    """Refuse a DP over the cell budget, the line cap or the line-width
-    cap, before any array is built."""
-    if cells > params.budget:
+    """Refuse a DP over the cell cap, the line cap or the line-width cap,
+    before any array is built."""
+    if cells > MAX_CELLS:
         raise BudgetError(
-            f"{formula} = {cells:.3g} exact DP cells exceed budget {params.budget:.3g}"
+            f"{formula} = {cells:.3g} exact DP cells exceed the cap of {MAX_CELLS:.3g}"
         )
     _check_lines(params)
     if width > MAX_LINE_CELLS:

@@ -28,15 +28,7 @@ from .conditions import check_all, check_linearity
 from .config import SCHEMAS, RunConfig, echo_values, parse_config
 from .core import PlayerMap, PowerVector, RewardParams
 from .dynamics import (
-    MIN_SLOPE_SEEDS,
-    ExplicitInit,
-    PowerLawInit,
-    SimConfig,
-    SlopeAccumulator,
-    TwoPointInit,
-    _fractions,
-    _ratios,
-    summarize,
+    INITS, MIN_SLOPE_SEEDS, SimConfig, SlopeAccumulator, _fractions, _ratios, summarize
 )
 from .errors import (
     BudgetError,
@@ -46,7 +38,7 @@ from .errors import (
     StructuralError,
     UnsupportedModelError,
 )
-from .incentives import MODELS, IncentiveModel, ThresholdCoverSybilCost, ZeroSybilCost
+from .incentives import MODELS, SYBIL_COSTS
 from .metrics import load_producer_csv, report as metrics_report
 
 EXIT_CODES = {
@@ -71,21 +63,25 @@ def _resolve_path(raw: str) -> Path:
     return path
 
 
-def build_incentive_model(cfg: RunConfig) -> IncentiveModel:
-    model = MODELS[cfg["model"]]
-    return model(**{field: cfg[key] for key, field in model.KEYS.items()})
+def _build(family: dict[str, type], cfg: RunConfig, choice: str):
+    """The registry member config key ``choice`` names, each field read from
+    the config key its class's ``KEYS`` maps to it."""
+    cls = family[cfg[choice]]
+    return cls(**{field: cfg[key] for key, field in cls.KEYS.items()})
 
 
-def _build_init(cfg: RunConfig):
-    kind = cfg["init"]
-    if kind == "explicit":
-        return ExplicitInit(powers=cfg["init_powers"])
-    if kind == "power-law":
-        return PowerLawInit(exponent=cfg["init_exponent"])
-    return TwoPointInit(
-        f=cfg["init_f"],
-        count_rich=cfg["init_count_rich"],
-        count_poor=cfg["init_count_poor"],
+def sim_config(cfg: RunConfig) -> SimConfig:
+    """The run a resolved ``simulate`` configuration describes."""
+    return SimConfig(
+        model=_build(MODELS, cfg, "model"),
+        reward=RewardParams(r=cfg["r"], r_max=cfg["r_max"]),
+        horizon=cfg["horizon"],
+        n_nodes=cfg["n_nodes"],
+        init=_build(INITS, cfg, "init"),
+        seeds=cfg["seeds"],
+        epsilon=cfg["epsilon"],
+        delta=cfg["delta"],
+        window=cfg["window"] or None,
     )
 
 
@@ -123,17 +119,7 @@ class _TrajectoryCsvWriter:
 
 
 def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
-    sim = SimConfig(
-        model=build_incentive_model(cfg),
-        reward=RewardParams(r=cfg["r"], r_max=cfg["r_max"]),
-        horizon=cfg["horizon"],
-        n_nodes=cfg["n_nodes"],
-        init=_build_init(cfg),
-        seeds=cfg["seeds"],
-        epsilon=cfg["epsilon"],
-        delta=cfg["delta"],
-        window=cfg["window"] or None,
-    )
+    sim = sim_config(cfg)
     n_seeds = len(sim.seeds)
     slopes = SlopeAccumulator(n_seeds, sim.horizon) if n_seeds >= MIN_SLOPE_SEEDS else None
     out_dir = _resolve_path(cfg["trajectories_dir"]) if cfg["trajectories_dir"] else None
@@ -169,7 +155,6 @@ def _walk_params(cfg: RunConfig, f: float, rho: float, epsilon: float) -> WalkPa
         seed=cfg["seed"],
         strategy=cfg["strategy"],
         n_jump=cfg["n_jump"],
-        budget=cfg["budget"],
     )
 
 
@@ -235,20 +220,15 @@ def _run_metrics(cfg: RunConfig) -> dict[str, Any]:
 
 
 def _run_check(cfg: RunConfig) -> dict[str, Any]:
-    model = build_incentive_model(cfg)
+    model = _build(MODELS, cfg, "model")
     powers = PowerVector(cfg["powers"])
     if cfg["owners"]:
         owners = tuple(o.strip() for o in cfg["owners"].split(","))
     else:
         owners = tuple(f"p{i + 1}" for i in range(len(powers)))
     pm = PlayerMap(owners)
-    sybil = (
-        ZeroSybilCost()
-        if cfg["sybil"] == "zero"
-        else ThresholdCoverSybilCost(margin=cfg["margin"])
-    )
     rep = check_all(
-        model, sybil, powers, pm, cfg["m"],
+        model, _build(SYBIL_COSTS, cfg, "sybil"), powers, pm, cfg["m"],
         delta=cfg["delta"], grid=cfg["grid"], max_nodes=cfg["max_nodes"],
     )
     linearity = check_linearity(

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .bound import STRATEGIES
+from .bound import STRATEGIES, WalkParams
+from .conditions import DEFAULT_GRID, DEFAULT_MAX_NODES
+from .dynamics import INITS
 from .errors import ConfigError
-from .incentives import MODELS, Linear
+from .incentives import MODELS, SYBIL_COSTS, Linear
 
 REQUIRED = object()
 
@@ -94,15 +96,13 @@ MODEL_KEYS = [
 ]
 
 WALK_KEYS = [
-    Key("epsilon", "float", default=0.0),
-    Key("u", "float", default=1e-3, help="poor node's relative gain per micro-step"),
-    Key("k_max", "int", default=100, help="rich-gain truncation"),
-    Key("samples", "int", default=100_000, help="ignored: every strategy is computed exactly"),
-    Key("seed", "int", default=0, help="ignored: every strategy is computed exactly"),
-    Key("strategy", "str", default="micro", choices=STRATEGIES),
-    Key("n_jump", "int", default=1, help="max-size wins a hybrid jump may span"),
-    Key("budget", "float", default=4e9,
-        help="cap on exact DP cells: (k_max + 1) x the widest line"),
+    Key("epsilon", "float", default=WalkParams.epsilon),
+    Key("u", "float", default=WalkParams.u, help="poor node's relative gain per micro-step"),
+    Key("k_max", "int", default=WalkParams.k_max, help="rich-gain truncation"),
+    Key("samples", "int", default=WalkParams.samples, help="ignored: every bound is exact"),
+    Key("seed", "int", default=WalkParams.seed, help="ignored: every bound is exact"),
+    Key("strategy", "str", default=WalkParams.strategy, choices=STRATEGIES),
+    Key("n_jump", "int", default=WalkParams.n_jump, help="max-size wins a hybrid jump may span"),
 ]
 
 # simulate takes the lottery models only, and their keys, with br required
@@ -118,7 +118,7 @@ SCHEMAS: dict[str, list[Key]] = {
         Key("r_max", "float", help="cap on per-step net reward"),
         Key("horizon", "int"),
         Key("n_nodes", "int"),
-        Key("init", "str", choices=("explicit", "power-law", "two-point")),
+        Key("init", "str", choices=tuple(INITS)),
         Key("init_powers", "floats", default=()),
         Key("init_exponent", "float", default=2.0),
         Key("init_f", "float", default=0.01),
@@ -150,9 +150,9 @@ SCHEMAS: dict[str, list[Key]] = {
         Key("owners", "str", default="", help="comma list parallel to powers; default one player per node"),
         Key("m", "int"),
         Key("delta", "float", default=0.0),
-        Key("grid", "int", default=20),
-        Key("max_nodes", "int", default=6),
-        Key("sybil", "str", default="zero", choices=("zero", "threshold-cover")),
+        Key("grid", "int", default=DEFAULT_GRID),
+        Key("max_nodes", "int", default=DEFAULT_MAX_NODES),
+        Key("sybil", "str", default="zero", choices=tuple(SYBIL_COSTS)),
         Key("margin", "float", default=0.0),
         Key("linearity_trials", "int", default=64),
         Key("seed", "int", default=0),

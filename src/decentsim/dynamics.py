@@ -6,7 +6,8 @@ fraction r of it into its own resource power.  Losing nodes pay their
 costs out of pocket; resource power is a stock and never shrinks.  The
 long-run behaviour splits three ways with the lottery exponent: below 1
 the power fractions equalize, at 1 each fraction is a martingale, above 1
-the largest node takes over.
+the largest node takes over.  ``INITS`` names every initial power
+profile and, through each class's ``KEYS``, its config keys.
 """
 
 from __future__ import annotations
@@ -26,9 +27,14 @@ from .incentives import IncentiveModel, PoS, PoW, block_reward, lottery_weights
 class ExplicitInit:
     powers: tuple[float, ...]
 
+    KEYS = {"init_powers": "powers"}
+
     def __post_init__(self) -> None:
         if not all(math.isfinite(p) for p in self.powers):
             raise DomainError("powers must be finite")
+
+    def initial_powers(self, n_nodes: int) -> np.ndarray:
+        return np.asarray(self.powers, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -37,9 +43,15 @@ class PowerLawInit:
 
     exponent: float
 
+    KEYS = {"init_exponent": "exponent"}
+
     def __post_init__(self) -> None:
         if not math.isfinite(self.exponent):
             raise DomainError("exponent must be finite")
+
+    def initial_powers(self, n_nodes: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.arange(1, n_nodes + 1, dtype=float) ** -self.exponent
 
 
 @dataclass(frozen=True)
@@ -50,37 +62,30 @@ class TwoPointInit:
     count_rich: int
     count_poor: int
 
+    KEYS = {"init_f": "f", "init_count_rich": "count_rich", "init_count_poor": "count_poor"}
+
     def __post_init__(self) -> None:
         if not 0 < self.f <= 1:
             raise DomainError("two-point f must lie in (0, 1]")
         if self.count_rich < 1 or self.count_poor < 1:
             raise DomainError("two-point init needs at least one node per level")
 
+    def initial_powers(self, n_nodes: int) -> np.ndarray:
+        return np.concatenate([np.ones(self.count_rich), np.full(self.count_poor, self.f)])
+
 
 InitSpec = ExplicitInit | PowerLawInit | TwoPointInit
+INITS = {"explicit": ExplicitInit, "power-law": PowerLawInit, "two-point": TwoPointInit}
 
 
 def build_initial_powers(init: InitSpec, n_nodes: int) -> np.ndarray:
-    if isinstance(init, ExplicitInit):
-        powers = np.asarray(init.powers, dtype=float)
-        if powers.size != n_nodes:
-            raise DomainError(
-                f"explicit init has {powers.size} powers but n_nodes is {n_nodes}"
-            )
-    elif isinstance(init, PowerLawInit):
-        with np.errstate(over="ignore"):
-            powers = np.arange(1, n_nodes + 1, dtype=float) ** -init.exponent
-    elif isinstance(init, TwoPointInit):
-        if init.count_rich + init.count_poor != n_nodes:
-            raise DomainError(
-                f"two-point init has {init.count_rich + init.count_poor} nodes "
-                f"but n_nodes is {n_nodes}"
-            )
-        powers = np.concatenate(
-            [np.ones(init.count_rich), np.full(init.count_poor, init.f)]
+    """The initial powers of ``n_nodes`` nodes; each init spec's
+    ``initial_powers`` builds them, and the checks here are shared."""
+    powers = init.initial_powers(n_nodes)
+    if powers.size != n_nodes:
+        raise DomainError(
+            f"{type(init).__name__} gives {powers.size} powers but n_nodes is {n_nodes}"
         )
-    else:
-        raise DomainError(f"unknown init spec {type(init).__name__}")
     if not np.all(np.isfinite(powers)):
         raise DomainError("initial powers must be finite")
     if np.any(powers <= 0):
@@ -202,6 +207,12 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float | None, Callab
         raise DomainError(
             f"lottery weights leave the float range: powers run from {low!r} up to "
             f"{high!r} and are weighted by exponent {gamma!r}"
+        )
+    # fractions run down to least / (n * high), so their ratios up to its inverse
+    least = float(state.min())
+    if not math.isfinite(state.shape[1] * high / least):
+        raise DomainError(
+            f"power ratios leave the float range: powers run from {least!r} up to {high!r}"
         )
     flat = state.reshape(-1)
     # asked for no winners, a net reward that depends on neither the winners

@@ -23,8 +23,8 @@ class SearchBoundError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """Requested work exceeds the configured budget (exact DP cells, or
-    Monte Carlo samples * k_max) or a fixed size cap (lines, line width)."""
+    """Requested work exceeds a fixed size cap (exact DP cells, Monte Carlo
+    samples * k_max, lines, line width)."""
 
 
 class UnsupportedModelError(TypeError):

@@ -5,7 +5,8 @@ Every model exposes an expected net profit per time unit through
 lottery families (work-weighted, stake-weighted and the exponent-weighted
 family) also carry what the simulator needs to draw one block winner per
 time unit: the weight exponent and the winner's net reward.  ``MODELS``
-names every family and, through each class's ``KEYS``, its config keys.
+names every family and, through each class's ``KEYS``, its config keys;
+``SYBIL_COSTS`` does the same for the multi-node cost models.
 """
 
 from __future__ import annotations
@@ -239,6 +240,11 @@ def block_reward(model: IncentiveModel, total_power: float) -> float:
 class ZeroSybilCost:
     """No extra cost for running several nodes (permissionless default)."""
 
+    KEYS = {}
+
+    def cost(self, model: IncentiveModel, parts: list[float], context: Sequence[float]) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class ThresholdCoverSybilCost:
@@ -249,14 +255,29 @@ class ThresholdCoverSybilCost:
 
     margin: float = 0.0
 
+    KEYS = {"margin": "margin"}
+
     def __post_init__(self) -> None:
         if not math.isfinite(self.margin):
             raise DomainError("margin must be finite")
         if self.margin < 0:
             raise DomainError("margin must be >= 0")
 
+    def cost(self, model: IncentiveModel, parts: list[float], context: Sequence[float]) -> float:
+        """The utility of the split set and of the merged single node
+        against the same context."""
+        ctx = [float(p) for p in context]
+        split_state = PowerVector(tuple(parts + ctx))
+        merged_state = PowerVector(tuple([math.fsum(parts)] + ctx))
+        split_total = math.fsum(
+            realized_utility(model, i, split_state) for i in range(len(parts))
+        )
+        merged = realized_utility(model, 0, merged_state)
+        return max(0.0, split_total - merged) + self.margin
+
 
 SybilCostModel = ZeroSybilCost | ThresholdCoverSybilCost
+SYBIL_COSTS: dict[str, type] = {"zero": ZeroSybilCost, "threshold-cover": ThresholdCoverSybilCost}
 
 
 def sybil_cost(
@@ -268,19 +289,11 @@ def sybil_cost(
     """Extra per-time-unit cost for one player to run the given node set.
 
     ``context`` holds the other players' node powers.  A single-node set
-    always costs 0.  The threshold-cover model evaluates the utility of
-    the split set and of the merged single node against the same context.
+    always costs 0; a larger one costs what the cost model's formula says.
     """
     parts = [float(p) for p in node_powers_of_player]
     if not parts:
         raise DomainError("player must run at least one node")
-    if isinstance(cost_model, ZeroSybilCost) or len(parts) == 1:
+    if len(parts) == 1:
         return 0.0
-    ctx = [float(p) for p in context]
-    split_state = PowerVector(tuple(parts + ctx))
-    merged_state = PowerVector(tuple([math.fsum(parts)] + ctx))
-    split_total = math.fsum(
-        realized_utility(incentive, i, split_state) for i in range(len(parts))
-    )
-    merged = realized_utility(incentive, 0, merged_state)
-    return max(0.0, split_total - merged) + cost_model.margin
+    return cost_model.cost(incentive, parts, context)

@@ -16,12 +16,13 @@ record, so their memory does not grow with the horizon.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from decentsim.bound import WalkParams, estimate_g, exact_g, jump_prob, u_sensitivity, WalkState
-from decentsim.cli import results_payload_bytes, run
+from decentsim.cli import results_payload_bytes, run, sim_config
 from decentsim.conditions import (
     check_gr,
     check_linearity,
@@ -31,9 +32,8 @@ from decentsim.conditions import (
     verify_split_witness,
 )
 from decentsim.config import parse_config
-from decentsim.core import PlayerMap, PowerVector, RewardParams
+from decentsim.core import PlayerMap, PowerVector
 from decentsim.dynamics import (
-    PowerLawInit,
     SimConfig,
     ed_verdict,
     monotonicity_stats,
@@ -46,9 +46,7 @@ from decentsim.metrics import ProducerDataset, gini, report, shannon_entropy, to
 ANCHOR_SEED = 424242
 GRID_SEED = 1337
 GRID_SAMPLES = 200_000
-DESK_SEEDS = tuple(range(500, 600))
-DESK_NODES = 10
-DESK_HORIZON = 10_000
+SIMULATE_CONFIGS = Path(__file__).resolve().parents[1] / "configs" / "simulate"
 EQUALIZE_HORIZON = 1_000_000  # criterion 4a
 CONCENTRATE_HORIZON = 30_000  # criterion 4c
 F_GRID = (1e-4, 1e-3, 1e-2)
@@ -93,27 +91,17 @@ def bound_grid():
     return cells
 
 
-def desk_config(gamma: float, horizon: int = DESK_HORIZON) -> SimConfig:
-    init = PowerLawInit(2.0)  # ten nodes spanning a factor of 100
-    mean_power = sum((i + 1) ** -2.0 for i in range(DESK_NODES)) / DESK_NODES
-    kick = 0.1 * mean_power  # r * b_r at 10% of the mean initial power
-    return SimConfig(
-        model=GammaReward(b_r=kick, gamma=gamma),
-        reward=RewardParams(r=1.0, r_max=kick),
-        horizon=horizon,
-        n_nodes=DESK_NODES,
-        init=init,
-        seeds=DESK_SEEDS,
-        epsilon=0.1,
-        delta=0.0,
-    )
+def trichotomy_run(gamma: float, **overrides) -> SimConfig:
+    """The run of the checked-in desk config at this lottery exponent."""
+    path = SIMULATE_CONFIGS / f"trichotomy_gamma_{gamma}.json"
+    return sim_config(parse_config("simulate", file=path, overrides=overrides))
 
 
 @pytest.fixture(scope="module")
 def trichotomy():
     runs = {}
     for gamma in (0.5, 1.0, 1.5):
-        config = desk_config(gamma)
+        config = trichotomy_run(gamma)
         started = time.perf_counter()
         trajectories = simulate(config)
         runs[gamma] = (config, trajectories, time.perf_counter() - started)
@@ -235,7 +223,7 @@ class TestCriterion4Trichotomy:
         )
 
     def test_sublinear_equalizes(self):
-        config = desk_config(0.5, EQUALIZE_HORIZON)
+        config = trichotomy_run(0.5, horizon=EQUALIZE_HORIZON)
         window = config.effective_window()
         started = time.perf_counter()
         verdict = summarize(config).verdict
@@ -256,7 +244,7 @@ class TestCriterion4Trichotomy:
         means = finals.mean(axis=0)
         ses = finals.std(axis=0, ddof=1) / math.sqrt(len(trajectories))
         z = np.abs(means - initial) / ses
-        verdict = ed_verdict(trajectories, epsilon=0.1, delta=0.0, window=DESK_HORIZON // 10)
+        verdict = ed_verdict(trajectories, config.epsilon, config.delta, config.effective_window())
         ok = bool(np.all(z <= 3.0)) and verdict.converged_fraction < 0.5
         criterion(
             "4b", "gamma=1 mean fractions hold initial values; ratio stays wide",
@@ -265,7 +253,7 @@ class TestCriterion4Trichotomy:
         )
 
     def test_superlinear_concentrates(self):
-        summary = summarize(desk_config(1.5, CONCENTRATE_HORIZON))
+        summary = summarize(trichotomy_run(1.5, horizon=CONCENTRATE_HORIZON))
         count = int((summary.final_betas.max(axis=1) >= 0.99).sum())
         ok = count >= 90
         criterion(

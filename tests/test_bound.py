@@ -119,7 +119,7 @@ class TestEstimate:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            estimate_g(params(samples=10**9, k_max=10**4, budget=4e9))
+            estimate_g(params(samples=10**9, k_max=10**4))
 
     def test_hybrid_with_unbounded_jumps_matches_micro(self):
         micro = estimate_g(params())
@@ -396,16 +396,18 @@ class TestExactG:
             other = exact_g(params(strategy=strategy, samples=1, seed=7))
             assert (one.estimate, one.per_k) == (other.estimate, other.per_k)
 
-    def test_dp_cell_budget(self):
+    def test_dp_cell_budget(self, monkeypatch):
         # 101 lines of about 11,600 climb counts each
+        monkeypatch.setattr(bound, "MAX_CELLS", 1e6)
         with pytest.raises(BudgetError, match="DP cells"):
-            exact_g(params(budget=1e6))
-        assert exact_g(params(budget=1.2e6)).estimate > 0
+            exact_g(params())
+        monkeypatch.setattr(bound, "MAX_CELLS", 1.2e6)
+        assert exact_g(params()).estimate > 0
 
     @pytest.mark.parametrize(
         "kw, message",
         [
-            # 2% of the default budget, in lines of about 5e7 poor wins
+            # 2% of the cell cap, in lines of about 5e7 poor wins
             (dict(f=0.5, rho=1e-8, k_max=1), "one DP line of 5e+07 cells exceeds the cap"),
             # the width estimate is 0, but b + rho rounds to b until j*rho
             # reaches half an ulp of b, far past the cap
@@ -417,9 +419,10 @@ class TestExactG:
         with pytest.raises(BudgetError, match=re.escape(message)):
             exact_g(params(strategy="max-step", **kw))
 
-    def test_climb_range_checked_before_the_budget(self):
+    def test_climb_range_checked_before_the_budget(self, monkeypatch):
+        monkeypatch.setattr(bound, "MAX_CELLS", 1.0)
         with pytest.raises(DomainError, match="2\\*\\*53"):
-            exact_g(params(u=1e-300, budget=1.0))
+            exact_g(params(u=1e-300))
 
     @pytest.mark.parametrize(
         "anchor, expected", [("f_0", 6.948e-10), ("f_15", 1.3200e-6), ("f_50", 5.748e-6)]
@@ -515,8 +518,6 @@ class TestParamValidation:
             dict(epsilon=math.inf),
             dict(u=math.inf),
             dict(u=math.nan),
-            dict(budget=math.nan),
-            dict(budget=math.inf),
         ):
             with pytest.raises(DomainError):
                 params(**bad)

@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,7 @@ from hypothesis import given, settings, strategies as st
 from decentsim import bound, cli, dynamics
 from decentsim.cli import main, results_payload_bytes, run
 from decentsim.config import parse_config
-from decentsim.core import RewardParams
-from decentsim.dynamics import SimConfig, SlopeAccumulator, ed_verdict, simulate
+from decentsim.dynamics import SlopeAccumulator, ed_verdict, simulate
 from test_dynamics import replay_final_betas
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -228,10 +228,10 @@ class TestBoundCommand:
         # about 1e9 poor wins on each of the 101 lines
         code = main(["bound", "--f", "1e-4", "--rho", "1e-9", "--strategy", "max-step"])
         assert code == 5
-        assert "exact DP cells exceed budget" in capsys.readouterr().err
+        assert "exact DP cells exceed the cap of 4e+09" in capsys.readouterr().err
 
     def test_line_width_exit_code(self, capsys):
-        # 2% of the default budget, but one line of about 4.2e7 climb counts
+        # 2% of the cell cap, but one line of about 4.2e7 climb counts
         started = time.perf_counter()
         code = main(["bound", "--f", "1e-9", "--rho", "0.1", "--k_max", "1", "--u", "5e-7"])
         assert time.perf_counter() - started < 0.5
@@ -242,10 +242,10 @@ class TestBoundCommand:
         # about 9.2e9 climbs on the last line, times 101 lines
         code = main(["bound", "--f", "1e-4", "--rho", "0.1", "--u", "1e-9"])
         assert code == 5
-        assert "exact DP cells exceed budget" in capsys.readouterr().err
+        assert "exact DP cells exceed the cap of 4e+09" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("u", "inf"), ("epsilon", "nan"), ("rho", "inf"), ("budget", "nan")]
+        "flag, value", [("u", "inf"), ("epsilon", "nan"), ("rho", "inf")]
     )
     def test_non_finite_parameter_exit_code(self, flag, value, capsys):
         code = main(["bound", "--f", "1e-4", "--rho", "0.1", "--samples", "1000",
@@ -258,15 +258,16 @@ class TestBoundCommand:
         assert code == 2
         assert "'f'" in capsys.readouterr().err
 
-    def test_trivial_bound_table_is_budgeted(self, capsys):
+    def test_trivial_bound_table_is_budgeted(self, capsys, monkeypatch):
         # f = 1 starts on the target, but the report still lists k_max + 1 lines
-        code = main(["bound", "--f", "1", "--rho", "0.1", "--k_max", str(10**6), "--budget", "50"])
+        monkeypatch.setattr(bound, "MAX_CELLS", 50.0)
+        code = main(["bound", "--f", "1", "--rho", "0.1", "--k_max", str(10**6)])
         assert code == 5
-        assert "exact DP cells exceed budget" in capsys.readouterr().err
+        assert "exact DP cells exceed the cap of 50" in capsys.readouterr().err
 
     @pytest.mark.parametrize("strategy", ["micro", "max-step", "hybrid"])
     def test_per_line_table_is_capped(self, strategy, capsys):
-        # k_max 1e7 within the default budget: the per-line table alone would
+        # k_max 1e7 within the cell cap: the per-line table alone would
         # take hundreds of MB, so it is refused before it is built
         started = time.perf_counter()
         code = main(["bound", "--f", "1", "--rho", "0.1", "--k_max", str(10**7),
@@ -285,6 +286,16 @@ class TestBoundCommand:
         assert "DomainError: sweep grids must be non-empty" in capsys.readouterr().err
 
 
+def run_trichotomy(*args):
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / "run_trichotomy.py"), *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestTrichotomyScript:
     @pytest.mark.parametrize(
         "horizon, seeds",
@@ -293,15 +304,17 @@ class TestTrichotomyScript:
     )
     def test_no_spread_skips_the_martingale_check(self, horizon, seeds):
         # neither run has a spread of the final fractions to scale by
-        done = subprocess.run(
-            [sys.executable, "-W", "error", str(ROOT / "scripts" / "run_trichotomy.py"),
-             "--gammas", "1.0", "--horizon", horizon, "--seeds", seeds],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            capture_output=True, text=True,
-        )
-        assert done.returncode == 0, done.stderr
-        assert "nan" not in done.stdout
-        assert "martingale" not in done.stdout
+        out = run_trichotomy("--gammas", "1.0", "--horizon", horizon, "--seeds", seeds)
+        assert "nan" not in out
+        assert "martingale" not in out
+
+    def test_nodes_that_never_win_are_skipped(self):
+        # in 50 steps two nodes win in none of the 5 seeds; their spread
+        # across seeds is rounding noise, which would scale |z| to about 1e16
+        out = run_trichotomy("--gammas", "1.0", "--horizon", "50", "--seeds", "5")
+        line = next(line for line in out.splitlines() if "martingale check" in line)
+        assert "(2 skipped: same in every seed)" in line
+        assert float(line.split("=")[1].split()[0]) < 10
 
 
 class TestSimulateCommand:
@@ -349,6 +362,19 @@ class TestSimulateCommand:
     def test_lottery_weight_overflow_exit_code(self, argv, capsys):
         assert main(["simulate", *argv, "--seeds", "1"]) == 3
         assert "DomainError: lottery weights leave the float range" in capsys.readouterr().err
+
+    def test_power_ratio_overflow_exit_code(self):
+        # under -W error a numpy overflow warning in the ratios would end in
+        # a traceback
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "simulate",
+             "--model", "gamma", "--br", "3", "--r_max", "3", "--horizon", "5",
+             "--n_nodes", "2", "--init", "explicit", "--init_powers", "1e300,1e-300"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("DomainError: power ratios leave the float range")
 
     def test_initial_power_overflow_exit_code(self, capsys):
         # 10 ** 400 leaves the float range
@@ -460,9 +486,8 @@ def walk_argv(draw):
         "k_max": values["k_max"],
         "n_jump": values["n_jump"],
         "seed": draw(st.integers(0, 3)),
-        # ignored by the exact paths, whose DP cells the budget caps
+        # ignored by the exact paths
         "samples": draw(st.integers(1, 300)),
-        "budget": repr(draw(st.sampled_from((3e3, 50.0, 0.0, -1.0)))),
     }
     if subcommand == "bound":
         for key in ("f", "rho", "epsilon"):
@@ -481,11 +506,16 @@ def walk_argv(draw):
 
 class TestWalkInputs:
     @settings(max_examples=150, deadline=None)
-    @given(walk_argv())
-    def test_exits_cleanly(self, argv):
-        # every input either reports strict JSON or exits with a documented code
+    @given(walk_argv(), st.sampled_from((3e3, 50.0, 0.0)))
+    def test_exits_cleanly(self, argv, max_cells):
+        # every input either reports strict JSON or exits with a documented
+        # code; lowered cell caps reach the cap checks at small sizes
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (
+            mock.patch.object(bound, "MAX_CELLS", max_cells),
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+        ):
             code = main(argv)
         if code == 0:
             json.loads(out.getvalue(), parse_constant=reject_constant)
@@ -529,17 +559,7 @@ def reference_simulate(cfg):
     ``_run_simulate``.  Also returns the trajectories, for
     ``assert_slope_stats_exact``.  Each seed's final state is checked
     against a replay by the scalar ``step``."""
-    sim = SimConfig(
-        model=cli.build_incentive_model(cfg),
-        reward=RewardParams(r=cfg["r"], r_max=cfg["r_max"]),
-        horizon=cfg["horizon"],
-        n_nodes=cfg["n_nodes"],
-        init=cli._build_init(cfg),
-        seeds=cfg["seeds"],
-        epsilon=cfg["epsilon"],
-        delta=cfg["delta"],
-        window=cfg["window"] or None,
-    )
+    sim = cli.sim_config(cfg)
     trajectories = simulate(sim)
     for traj in trajectories:
         assert np.array_equal(traj.betas[-1], replay_final_betas(sim, traj.seed))

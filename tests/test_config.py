@@ -5,7 +5,6 @@ import pytest
 
 from decentsim.config import echo_values, parse_config
 from decentsim.errors import ConfigError
-from test_acceptance import desk_config
 
 # checked-in run configs, one directory per subcommand
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -109,15 +108,18 @@ class TestCheckedInConfigs:
         assert {path.parent.name for path in CONFIGS} == {"bound", "sweep", "check", "simulate"}
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
-    def test_trichotomy_configs_are_the_desk_setup(self, gamma):
-        desk = desk_config(gamma)
-        cfg = parse_config("simulate", file=CONFIG_DIR / f"simulate/trichotomy_gamma_{gamma}.json")
-        assert (cfg["model"], cfg["br"], cfg["gamma"]) == ("gamma", desk.model.b_r, gamma)
-        assert (cfg["r"], cfg["r_max"]) == (desk.reward.r, desk.reward.r_max)
-        assert (cfg["horizon"], cfg["n_nodes"]) == (desk.horizon, desk.n_nodes)
-        assert (cfg["init"], cfg["init_exponent"]) == ("power-law", desk.init.exponent)
-        assert tuple(cfg["seeds"]) == desk.seeds
-        assert (cfg["epsilon"], cfg["delta"], cfg["window"]) == (desk.epsilon, desk.delta, 0)
+    def test_trichotomy_configs_differ_only_in_gamma(self, gamma):
+        # one desk setup, swept over the lottery exponent: each config is the
+        # gamma = 1 config that run_trichotomy.py reads, at its own exponent
+        path = CONFIG_DIR / f"simulate/trichotomy_gamma_{gamma}.json"
+        base = CONFIG_DIR / "simulate/trichotomy_gamma_1.0.json"
+        raw, base_raw = (json.loads(p.read_text()) for p in (path, base))
+        assert raw.pop("gamma") == gamma
+        base_raw.pop("gamma")
+        assert raw == base_raw
+        assert parse_config("simulate", file=path) == parse_config(
+            "simulate", file=base, overrides={"gamma": gamma}
+        )
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: f"{path.parent.name}/{path.stem}")
     def test_parses(self, path):
