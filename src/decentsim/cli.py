@@ -11,7 +11,6 @@ reproduces the results payload byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -43,6 +42,7 @@ from .metrics import load_producer_csv, report as metrics_report
 
 EXIT_CODES = {
     ConfigError: 2,
+    OSError: 2,  # an output path that cannot be written
     StructuralError: 3,
     DomainError: 3,
     ArithmeticError: 3,  # a result outside the float range
@@ -85,10 +85,15 @@ def sim_config(cfg: RunConfig) -> SimConfig:
     )
 
 
+def _csv_line(fields: list[str]) -> str:
+    """One CSV row of formatted fields.  None needs quoting: each is a
+    ``repr`` float, an int or a fixed header name."""
+    return ",".join(fields) + "\r\n"
+
+
 class _TrajectoryCsvWriter:
     """Streams each seed's per-step power ratio and fractions to
-    ``trajectory_<seed>.csv``, one appended block of steps per ``record``,
-    with the bytes ``csv.writer`` gives for rows of ``repr`` floats."""
+    ``trajectory_<seed>.csv``, one appended block of steps per ``record``."""
 
     def __init__(self, out_dir: Path, sim: SimConfig) -> None:
         self.out_dir = out_dir
@@ -97,9 +102,7 @@ class _TrajectoryCsvWriter:
             out_dir / f"trajectory_{seed}.csv": row for row, seed in enumerate(sim.seeds)
         }
         self.delta = sim.delta
-        self.header = ",".join(
-            ["step", "ratio"] + [f"beta_{i + 1}" for i in range(sim.n_nodes)]
-        ) + "\r\n"
+        self.header = _csv_line(["step", "ratio"] + [f"beta_{i + 1}" for i in range(sim.n_nodes)])
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
         first = t0 == 0
@@ -110,10 +113,8 @@ class _TrajectoryCsvWriter:
         )
         steps = range(t0, t0 + len(states))
         for path, row in self.paths.items():
-            text = "".join(
-                f"{step},{','.join(map(repr, line))}\r\n"
-                for step, line in zip(steps, table[:, row].tolist())
-            )
+            text = "".join(_csv_line([str(step), *map(repr, line)])
+                           for step, line in zip(steps, table[:, row].tolist()))
             with path.open("w" if first else "a", newline="", encoding="utf-8") as handle:
                 handle.write(self.header + text if first else text)
 
@@ -179,14 +180,11 @@ def _run_bound(cfg: RunConfig) -> dict[str, Any]:
     return results
 
 
-def _write_csv(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
+def _write_csv(cfg: RunConfig, header: list[str], rows: list[list[str]]) -> str:
     """Write a table to the configured ``csv_out``; returns its path."""
     path = _resolve_path(cfg["csv_out"])
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+    path.write_text("".join(map(_csv_line, [header, *rows])), encoding="utf-8", newline="")
     return str(path)
 
 
@@ -214,16 +212,20 @@ def _run_metrics(cfg: RunConfig) -> dict[str, Any]:
         header, row = [], []
         for level in rep.levels:
             header += [f"addresses_{level.share}", f"gini_{level.share}", f"entropy_{level.share}"]
-            row += [level.addresses, repr(level.gini), repr(level.entropy_bits)]
+            row += [str(level.addresses), repr(level.gini), repr(level.entropy_bits)]
         results["csv_path"] = _write_csv(cfg, header, [row])
     return results
 
 
 def _run_check(cfg: RunConfig) -> dict[str, Any]:
+    if cfg["seed"] < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
     model = _build(MODELS, cfg, "model")
     powers = PowerVector(cfg["powers"])
     if cfg["owners"]:
         owners = tuple(o.strip() for o in cfg["owners"].split(","))
+        if "" in owners:
+            raise DomainError(f"owners must name a player for every node, got {cfg['owners']!r}")
     else:
         owners = tuple(f"p{i + 1}" for i in range(len(powers)))
     pm = PlayerMap(owners)
@@ -297,14 +299,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args.subcommand, file=args.config, overrides=overrides)
         text = json.dumps(run(config), sort_keys=True, indent=2, allow_nan=False)
+        if config["out"]:
+            path = _resolve_path(config["out"])
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text + "\n", encoding="utf-8")
     except tuple(EXIT_CODES) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
-    if config["out"]:
-        path = _resolve_path(config["out"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", encoding="utf-8")
-    else:
+    if not config["out"]:
         print(text)
     return 0
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import PlayerMap, PowerVector, effective_powers, percentile_power
 from .errors import DomainError, SearchBoundError
-from .incentives import IncentiveModel, SybilCostModel, realized_utility, sybil_cost, utility
+from .incentives import (IncentiveModel, SybilCostModel, parts_utility, realized_utility,
+                         sybil_cost, utility)
 
 REL_TOL = 1e-9
 DEFAULT_GRID = 20
@@ -157,8 +158,12 @@ def _check_search_size(what: str, grid: int, top: int, searches: Callable[[int],
 
 
 def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each distinct-player node set with, per survivor count, the first
-    survivor set that leaves fewer than m players running."""
+    """Each distinct-player node set with, per survivor count k, the first
+    survivor set (in ``combinations`` order) that leaves fewer than m players
+    running.  A survivor adds a running player only if its owner runs no node
+    outside the set, and at most m - 1 - |outside| may; so that set is the
+    first k members whose owner runs a node outside or that are among the
+    first m - 1 - |outside| others."""
     indices = range(len(pm))
     for size in range(2, len(pm) + 1):
         for subset in combinations(indices, size):
@@ -166,11 +171,30 @@ def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int,
             if len(set(owners)) != len(owners):
                 continue  # not a distinct-player set
             outside = {pm.owners[i] for i in indices if i not in subset}
-            for surv_size in range(1, size):
-                for survivors in combinations(subset, surv_size):
-                    if len(outside.union(pm.owners[i] for i in survivors)) < m:
-                        yield subset, survivors
-                        break
+            room = m - 1 - len(outside)
+            if room < 0:
+                continue
+            barred = [i for i, owner in zip(subset, owners) if owner not in outside][room:]
+            may_survive = [i for i in subset if i not in barred]
+            for surv_size in range(1, min(size, len(may_survive) + 1)):
+                yield subset, tuple(may_survive[:surv_size])
+
+
+def _best_split(model: IncentiveModel, pool: float, parts: int, context: tuple[float, ...],
+                grid: int, baseline: float, cost: Callable[[tuple[float, ...]], float]):
+    """The first grid split of ``pool`` into ``parts`` nodes ahead of ``context``
+    whose summed utility net of ``cost(split)`` beats ``baseline`` (beyond the
+    tolerance) by the most, as (gain, split, summed utility, cost), or None."""
+    best = None
+    floor = baseline + _tolerance(baseline)
+    for split in grid_allocations(pool, parts, grid):
+        total = parts_utility(model, split, context)
+        charge = cost(split)
+        if total - charge > floor:
+            gain = total - charge - baseline
+            if best is None or gain > best[0]:
+                best = (gain, split, total, charge)
+    return best
 
 
 def check_nd(
@@ -193,9 +217,7 @@ def check_nd(
     if n != len(pm):
         raise DomainError("power vector and player map must be parallel")
     if n > max_nodes:
-        raise SearchBoundError(
-            f"{n} nodes exceeds the merge search bound of {max_nodes}"
-        )
+        raise SearchBoundError(f"{n} nodes exceeds the merge search bound of {max_nodes}")
     merges = list(_merges(pm, m))
     sizes = Counter(len(survivors) for _, survivors in merges)
     _check_search_size("merge", grid, max(sizes, default=0), sizes.__getitem__)
@@ -204,21 +226,9 @@ def check_nd(
         separate = math.fsum(realized_utility(model, i, pv) for i in subset)
         pool = math.fsum(pv.powers[i] for i in subset)
         keep = tuple(pv.powers[i] for i in range(n) if i not in subset)
-        for alloc in grid_allocations(pool, len(survivors), grid):
-            merged_pv = PowerVector(alloc + keep)
-            merged = math.fsum(
-                realized_utility(model, j, merged_pv) for j in range(len(survivors))
-            )
-            if merged > separate + _tolerance(separate):
-                witness = MergeWitness(
-                    merged_nodes=subset,
-                    surviving_nodes=survivors,
-                    allocation=alloc,
-                    separate_total=separate,
-                    merged_total=merged,
-                )
-                if best is None or witness.gain > best.gain:
-                    best = witness
+        found = _best_split(model, pool, len(survivors), keep, grid, separate, lambda _: 0.0)
+        if found is not None and (best is None or found[0] > best.gain):
+            best = MergeWitness(subset, survivors, found[1], separate, found[2])
     return NdResult(holds=best is None, witness=best)
 
 
@@ -248,30 +258,13 @@ def check_ns(
     _check_search_size("split", grid, min(max_parts, grid), lambda t: len(audited) * (t >= 2))
     best: SplitWitness | None = None
     for player, power in audited:
-        context = tuple(
-            pv.powers[i] for i in range(len(pv)) if pm.owners[i] != player
-        )
-        single_pv = PowerVector((power, *context))
-        single = realized_utility(model, 0, single_pv)
+        context = tuple(pv.powers[i] for i in range(len(pv)) if pm.owners[i] != player)
+        single = parts_utility(model, (power,), context)
         for parts_count in range(2, min(max_parts, grid) + 1):
-            for parts in grid_allocations(power, parts_count, grid):
-                split_pv = PowerVector(parts + context)
-                split_total = math.fsum(
-                    realized_utility(model, j, split_pv)
-                    for j in range(parts_count)
-                )
-                cost = sybil_cost(sybil, model, parts, context)
-                if split_total - cost > single + _tolerance(single):
-                    witness = SplitWitness(
-                        player=player,
-                        power=power,
-                        parts=parts,
-                        single_utility=single,
-                        split_total=split_total,
-                        cost=cost,
-                    )
-                    if best is None or witness.gain > best.gain:
-                        best = witness
+            found = _best_split(model, power, parts_count, context, grid, single,
+                                lambda parts: sybil_cost(sybil, model, parts, context))
+            if found is not None and (best is None or found[0] > best.gain):
+                best = SplitWitness(player, power, found[1], single, found[2], found[3])
     return NsResult(holds=best is None, witness=best)
 
 

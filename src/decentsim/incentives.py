@@ -223,6 +223,13 @@ def realized_utility(model: IncentiveModel, node_index: int, pv: PowerVector) ->
     return 0.0 if u is None else u
 
 
+def parts_utility(model: IncentiveModel, parts: Sequence[float], context: Sequence[float]) -> float:
+    """Summed realized utility of nodes of the given powers placed ahead of
+    the context's nodes."""
+    state = PowerVector((*parts, *context))
+    return math.fsum(realized_utility(model, j, state) for j in range(len(parts)))
+
+
 def lottery_weights(model: IncentiveModel, powers: np.ndarray) -> np.ndarray:
     """Winner weights of the block lottery; probability of winning is
     weight / sum(weights)."""
@@ -266,14 +273,8 @@ class ThresholdCoverSybilCost:
     def cost(self, model: IncentiveModel, parts: list[float], context: Sequence[float]) -> float:
         """The utility of the split set and of the merged single node
         against the same context."""
-        ctx = [float(p) for p in context]
-        split_state = PowerVector(tuple(parts + ctx))
-        merged_state = PowerVector(tuple([math.fsum(parts)] + ctx))
-        split_total = math.fsum(
-            realized_utility(model, i, split_state) for i in range(len(parts))
-        )
-        merged = realized_utility(model, 0, merged_state)
-        return max(0.0, split_total - merged) + self.margin
+        merged = parts_utility(model, (math.fsum(parts),), context)
+        return max(0.0, parts_utility(model, parts, context) - merged) + self.margin
 
 
 SybilCostModel = ZeroSybilCost | ThresholdCoverSybilCost

@@ -178,6 +178,41 @@ class TestCheckInputs:
             assert err.getvalue().split(":")[0].endswith("Error")
 
 
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--owners=a,", "owners"), ("--owners=a, ,b", "owners"), ("--seed=-1", "seed")],
+        ids=["trailing-comma", "blank-name", "negative-seed"],
+    )
+    def test_bad_input_names_its_key(self, flag, key, capsys):
+        code = main(["check", "--model=pow", "--br=1", "--powers=1,1,1", "--m=1", flag])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"DomainError: {key} ")
+
+
+class TestUnwritablePath:
+    """A path under a regular file cannot be made: exit 2, no traceback."""
+
+    ARGV = {
+        "out": ["anchors", "--out", "{bad}/report.json"],
+        "sweep-csv_out": ["sweep", "--f_grid", "1e-3", "--epsilon_grid", "0",
+                          "--rho_grid", "0.1", "--csv_out", "{bad}/curves.csv"],
+        "trajectories_dir": ["simulate", "--model", "pow", "--br", "1", "--r_max", "1",
+                             "--horizon", "5", "--n_nodes", "2", "--init", "explicit",
+                             "--init_powers", "1,2", "--trajectories_dir", "{bad}/trajs"],
+        "metrics-csv_out": ["metrics", "--input", "{input}", "--csv_out", "{bad}/table.csv"],
+    }
+
+    @pytest.mark.parametrize("key", ARGV)
+    def test_exit_code(self, key, tmp_path, uniform21, capsys):
+        bad = tmp_path / "file"
+        bad.write_text("", encoding="utf-8")
+        code = main([arg.format(bad=bad, input=uniform21) for arg in self.ARGV[key]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(("FileExistsError: ", "NotADirectoryError: "))
+
+
 class TestSweepCommand:
     def test_twelve_row_csv(self, tmp_path):
         out_csv = tmp_path / "curves.csv"

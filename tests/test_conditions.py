@@ -135,6 +135,43 @@ class TestMergeCondition:
             check_nd(PoW(1), PowerVector((1,) * 7), players(7), m=2)
 
 
+def walked_merges(pm, m):
+    """The survivor walk the closed form in ``conditions._merges`` replaces:
+    per distinct-player set and survivor count, try every survivor set in
+    ``combinations`` order until one leaves fewer than m players running."""
+    indices = range(len(pm))
+    for size in range(2, len(pm) + 1):
+        for subset in combinations(indices, size):
+            owners = [pm.owners[i] for i in subset]
+            if len(set(owners)) != len(owners):
+                continue
+            outside = {pm.owners[i] for i in indices if i not in subset}
+            for surv_size in range(1, size):
+                for survivors in combinations(subset, surv_size):
+                    if len(outside.union(pm.owners[i] for i in survivors)) < m:
+                        yield subset, survivors
+                        break
+
+
+class TestMergeSurvivors:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_closed_form_matches_the_walk(self, seed):
+        # shared owners: n nodes among 1 to n players
+        rng = random.Random(f"survivors/{seed}")
+        n = rng.randint(2, 9)
+        players_count = rng.randint(1, n)
+        pm = PlayerMap(tuple(f"p{rng.randrange(players_count)}" for _ in range(n)))
+        for m in range(1, n + 3):
+            assert list(conditions._merges(pm, m)) == list(walked_merges(pm, m))
+
+    def test_many_nodes(self):
+        # the survivor walk takes about 3^15 steps here; no merge counts at m = 1
+        started = time.perf_counter()
+        res = check_nd(PoW(1), PowerVector((1,) * 15), players(15), m=1, grid=2, max_nodes=15)
+        assert res.holds
+        assert time.perf_counter() - started < 2.0
+
+
 class TestSplitCondition:
     def test_square_root_lottery_rewards_sybils(self):
         model = GammaReward(3, 0.5)
