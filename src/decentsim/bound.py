@@ -88,6 +88,11 @@ class WalkParams:
         if self.n_jump < 1:
             raise DomainError("n_jump must be >= 1")
 
+    @property
+    def reach(self) -> float:
+        """(1+eps)*f: the micro walk reads f and epsilon only through it."""
+        return (1.0 + self.epsilon) * self.f
+
 
 @dataclass(frozen=True)
 class WalkState:
@@ -144,7 +149,7 @@ def _check_lines(params: WalkParams) -> None:
 def _check_climb_range(params: WalkParams) -> None:
     # climb counts are int64 and compared exactly with the climbs needed
     # on the last line, which must therefore stay below 2**53
-    r_last = (1.0 + params.k_max * params.rho) / ((1.0 + params.epsilon) * params.f)
+    r_last = (1.0 + params.k_max * params.rho) / params.reach
     if not math.log(r_last) / math.log1p(params.u) < 2.0**53:
         raise DomainError(
             "the walk needs more than 2**53 micro-steps to reach the target; use a coarser u"
@@ -180,7 +185,7 @@ ChunkSums = tuple[float, float, float, float, float, np.ndarray]
 
 def _climbs_needed(params: WalkParams, a: float) -> int:
     """N_k: climbs that take the poor power to the target on line a."""
-    r_k = a / ((1.0 + params.epsilon) * params.f)
+    r_k = a / params.reach
     return math.ceil(math.log(r_k) / math.log1p(params.u))
 
 
@@ -188,9 +193,8 @@ def _line_jump(params: WalkParams, a: float, c: np.ndarray, out: np.ndarray) -> 
     """Jump probabilities at climb counts ``c`` on the line with rich
     power a, written to ``out``: rho / (rho + a * gap) with
     gap = R_k * (1+u)**-c - 1."""
-    one_eps = 1.0 + params.epsilon
     rho, log1u = params.rho, math.log1p(params.u)
-    r_k = a / (one_eps * params.f)
+    r_k = a / params.reach
     np.multiply(c, -log1u, out=out)
     np.exp(out, out=out)
     out *= a * r_k
@@ -199,7 +203,7 @@ def _line_jump(params: WalkParams, a: float, c: np.ndarray, out: np.ndarray) -> 
     if params.strategy == "hybrid":
         # jump only physically available within n_jump max-size wins,
         # that is while b >= a/(1+eps) - n_jump*rho
-        floor_b = a / one_eps - params.n_jump * rho
+        floor_b = a / (1.0 + params.epsilon) - params.n_jump * rho
         if floor_b > params.f:
             out[c < math.ceil(math.log(floor_b / params.f) / log1u)] = 0.0
     return out
@@ -407,7 +411,8 @@ def _max_step_lines(params: WalkParams) -> tuple[np.ndarray, np.ndarray]:
     per_k = np.zeros(params.k_max + 1)
     for i in range(params.k_max + 1):
         a = 1.0 + i * rho
-        n = int(np.count_nonzero(a / b > one_eps))
+        with np.errstate(over="ignore"):  # an inf ratio at a subnormal f is past the target
+            n = int(np.count_nonzero(a / b > one_eps))
         q = b[:n] / (a + b[:n])
         line = np.zeros(n)
         line[: mass.size] = mass
@@ -468,15 +473,22 @@ def sweep(
     rho_values: list[float],
     params: WalkParams,
 ) -> list[SweepRow]:
-    """The bound over a full f x epsilon x rho grid, one ``exact_g`` per
-    cell."""
+    """The bound over a full f x epsilon x rho grid.  The micro bound reads
+    f and epsilon only through (1+eps)*f, so micro cells sharing it and rho
+    share one DP; hybrid and max-step cells each run their own."""
     if not f_values or not epsilon_values or not rho_values:
         raise DomainError("sweep grids must be non-empty")
+    micro = params.strategy == "micro"
+    solved: dict[tuple, BoundEstimate] = {}
     rows = []
     for rho in rho_values:
         for eps in epsilon_values:
             for f in f_values:
-                result = exact_g(replace(params, f=f, epsilon=eps, rho=rho))
+                cell = replace(params, f=f, epsilon=eps, rho=rho)
+                key = (1.0 / f <= 1.0 + eps, cell.reach, rho) if micro else (f, eps, rho)
+                if key not in solved:
+                    solved[key] = exact_g(cell)
+                result = solved[key]
                 rows.append(SweepRow(f, eps, rho, result.estimate, result.ci_low, result.ci_high))
     return rows
 

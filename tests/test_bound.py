@@ -1,7 +1,10 @@
 import concurrent.futures
+import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from decentsim.core import RewardParams
 from decentsim.dynamics import ExplicitInit, SimConfig, run_seeds
 from decentsim.errors import BudgetError, DomainError
 from decentsim.incentives import GammaReward
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def params(**kw):
@@ -482,6 +487,74 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             sweep([], [0.0], [0.1], params())
+
+
+def cell_rows(f_grid, eps_grid, rho_grid, base):
+    """One direct ``exact_g`` per cell, in the order ``sweep`` emits rows."""
+    rows = []
+    for rho in rho_grid:
+        for eps in eps_grid:
+            for f in f_grid:
+                r = exact_g(replace(base, f=f, epsilon=eps, rho=rho))
+                rows.append(bound.SweepRow(f, eps, rho, r.estimate, r.ci_low, r.ci_high))
+    return rows
+
+
+def spy_lines(monkeypatch, name):
+    """The params of every call to the DP ``bound.<name>``."""
+    calls, lines = [], getattr(bound, name)
+
+    def spy(p):
+        calls.append(p)
+        return lines(p)
+
+    monkeypatch.setattr(bound, name, spy)
+    return calls
+
+
+CURVES = json.loads((ROOT / "configs" / "sweep" / "curves.json").read_text(encoding="utf-8"))
+# the sweep-grid benchmark workload's grid
+BENCH_GRID = ([1e-4, 1e-3, 1e-2], [0.0, 9.0, 99.0, 999.0], [0.1, 0.01])
+SMALL_GRID = ([1e-3, 1e-2, 0.5], [0.0, 9.0, 99.0], [0.1, 0.05])
+
+
+class TestSweepReuse:
+    """The micro bound reads f and epsilon only through (1+eps)*f, so
+    ``sweep`` runs one micro DP per distinct ((1+eps)*f, rho) and one
+    hybrid or max-step DP per non-trivial cell, with rows equal to the
+    per-cell ``exact_g`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid, strategy, lines, dps",
+        [
+            (BENCH_GRID, "micro", "_micro_lines", 8),
+            ((CURVES["f_grid"], CURVES["epsilon_grid"], CURVES["rho_grid"]),
+             "micro", "_micro_lines", 36),
+            (SMALL_GRID, "hybrid", "_micro_lines", 12),
+            (SMALL_GRID, "max-step", "_max_step_lines", 12),
+        ],
+        ids=["sweep-grid", "curves", "hybrid", "max-step"],
+    )
+    def test_rows_exact_and_dps_counted(self, monkeypatch, grid, strategy, lines, dps):
+        base = params(u=CURVES["u"], k_max=CURVES["k_max"], strategy=strategy)
+        expected = cell_rows(*grid, base)
+        calls = spy_lines(monkeypatch, lines)
+        rows = sweep(*grid, base)
+        assert repr(rows) == repr(expected)
+        assert len(calls) == dps
+
+    def test_trivial_status_stays_in_key(self, monkeypatch):
+        # (1+2608)*f0 is f1 in floats, but (f0, 2608) is trivial and
+        # (f1, 0) is not
+        f0, f1 = 0.000383288616328095, 0.9999999999999999
+        assert (1.0 + 2608.0) * f0 == f1 and not 1.0 / f1 <= 1.0
+        grid = ([f0, f1], [2608.0, 0.0], [0.1])
+        expected = cell_rows(*grid, params())
+        calls = spy_lines(monkeypatch, "_micro_lines")
+        rows = sweep(*grid, params())
+        assert (rows[0].estimate, rows[0].ci_low, rows[0].ci_high) == (1.0, 1.0, 1.0)
+        assert [(p.f, p.epsilon) for p in calls] == [(f0, 0.0), (f1, 0.0)]
+        assert repr(rows) == repr(expected)
 
 
 class TestAnchorsAndSensitivity:

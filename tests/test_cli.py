@@ -498,7 +498,7 @@ WALK_SANE = {
 }
 WALK_EXTREME = {
     "float": st.one_of(
-        st.sampled_from((0.0, 1e-300, 1e-9, 1.0, 2.0, 1e300, -1.0)),
+        st.sampled_from((0.0, 1e-310, 1e-300, 1e-9, 1.0, 2.0, 1e300, -1.0)),
         st.floats(allow_nan=True, allow_infinity=True),
     ),
     "int": st.sampled_from((-1, 0, 10**7, 2**63, 10**30, "inf")),
@@ -544,19 +544,44 @@ class TestWalkInputs:
     @given(walk_argv(), st.sampled_from((3e3, 50.0, 0.0)))
     def test_exits_cleanly(self, argv, max_cells):
         # every input either reports strict JSON or exits with a documented
-        # code; lowered cell caps reach the cap checks at small sizes
+        # code; lowered cell caps reach the cap checks at small sizes, and a
+        # numpy warning fails as it does under python -W error
         out, err = io.StringIO(), io.StringIO()
         with (
             mock.patch.object(bound, "MAX_CELLS", max_cells),
             contextlib.redirect_stdout(out),
             contextlib.redirect_stderr(err),
+            warnings.catch_warnings(),
         ):
+            warnings.simplefilter("error")
             code = main(argv)
         if code == 0:
             json.loads(out.getvalue(), parse_constant=reject_constant)
         else:
             assert code in (2, 3, 4, 5, 6)
             assert err.getvalue().split(":")[0].endswith("Error")
+
+    @pytest.mark.parametrize("strategy", ["micro", "max-step", "hybrid"])
+    @pytest.mark.parametrize("f", ["1e-310", "5e-324"])
+    @pytest.mark.parametrize("subcommand", ["bound", "sweep"])
+    def test_subnormal_f(self, strategy, f, subcommand, capsys):
+        # an inf power ratio at a subnormal f must not warn; micro and hybrid
+        # need more than 2**53 micro-steps there and exit 3
+        cell = {
+            "bound": [f"--f={f}", "--rho=0.1"],
+            "sweep": [f"--f_grid={f}", "--epsilon_grid=0.0", "--rho_grid=0.1"],
+        }[subcommand]
+        argv = [subcommand, *cell, "--k_max=3", f"--strategy={strategy}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        if strategy == "max-step":
+            assert code == 0
+            json.loads(out, parse_constant=reject_constant)
+        else:
+            assert code == 3
+            assert err.startswith("DomainError: the walk needs more than 2**53 micro-steps")
 
 
 class TestNonFiniteInput:
