@@ -19,7 +19,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .core import PowerVector, RewardParams, nearest_rank_index
-from .errors import DomainError, UnsupportedModelError
+from .errors import BudgetError, DomainError, UnsupportedModelError
 from .incentives import IncentiveModel, PoS, PoW, block_reward, lottery_weights
 
 
@@ -114,6 +114,9 @@ class SimConfig:
             raise DomainError("at least one seed is required")
         if any(s < 0 for s in self.seeds):
             raise DomainError("seeds must be non-negative integers")
+        if (cells := len(self.seeds) * (self.n_nodes + GENERATOR_CELLS)) > MAX_STATE_CELLS:
+            raise BudgetError(f"{len(self.seeds)} seeds of {self.n_nodes} nodes take {cells:.3g} "
+                              f"state cells, over the cap of {MAX_STATE_CELLS:.3g}")
         if not self.model.LOTTERY:
             raise UnsupportedModelError(
                 f"{type(self.model).__name__} has no block lottery to simulate"
@@ -231,32 +234,35 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float | None, Callab
 class Recorder(Protocol):
     """Observer of the stepping loop.
 
-    ``record`` sees a block of consecutive (seeds, nodes) power states,
-    shaped (steps, seeds, nodes), whose first row is the state at step
-    ``t0``, and the (steps, seeds) winners of those steps.  The first call
-    has t0 = 0 and holds only the initial state, with winners None.  The
-    blocks are reused buffers, so a recorder copies what it keeps.
+    ``record`` sees one block of ``run_seeds``: the (steps, seeds, nodes)
+    power states from step ``t0`` on, and the (steps, seeds) winners of
+    those steps.  The first call has t0 = 0 and holds only the initial
+    state, with winners None.  Every block is a view of one reused buffer,
+    so a recorder copies what it keeps.
     """
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None: ...
 
 
-# uniforms drawn per seed at a time; the stream of each seed's generator is
-# the same whatever the block, so results do not depend on it
-DRAW_BLOCK = 4096
-# steps of every seed buffered between calls to the recorders
+# a run holds at most MAX_STATE_CELLS floats of state, counting each seed's
+# generator (about 1 KB) as GENERATOR_CELLS floats
+MAX_STATE_CELLS = 1e7
+GENERATOR_CELLS = 128
+# a block of run_seeds holds at most RECORD_BLOCK steps of every seed, and
+# at most BLOCK_BYTES of states, uniforms and winners unless one step is more
 RECORD_BLOCK = 256
+BLOCK_BYTES = 2**23
 
 
 def run_seeds(config: SimConfig, recorders: Sequence[Recorder]) -> np.ndarray:
     """Advance every seed of the config through the horizon and pass the
-    states to the recorders, RECORD_BLOCK steps at a time; returns the
-    final (seeds, nodes) power state.
+    states to the recorders one block at a time; returns the final
+    (seeds, nodes) power state.
 
     Seeds are advanced in lockstep for speed, but each seed consumes only
-    its own generator's uniform stream, drawn DRAW_BLOCK steps at a time,
-    so a run depends on nothing beyond (config, seed).  Memory is flat in
-    the horizon apart from what the recorders keep.
+    its own generator's uniform stream, so a run depends on nothing beyond
+    (config, seed).  Memory is the state and one block, flat in the horizon,
+    apart from what the recorders keep.
     """
     n_seeds, horizon = len(config.seeds), config.horizon
     init = build_initial_powers(config.init, config.n_nodes)
@@ -268,27 +274,24 @@ def run_seeds(config: SimConfig, recorders: Sequence[Recorder]) -> np.ndarray:
     rngs = [np.random.default_rng(seed) for seed in config.seeds]
     for recorder in recorders:
         recorder.record(0, state[None], None)
-    states = np.empty((min(RECORD_BLOCK, horizon), n_seeds, config.n_nodes))
-    winners = np.empty(states.shape[:2], dtype=np.int64)
-    done = 0
-    while done < horizon:
-        block = min(DRAW_BLOCK, horizon - done)
-        # (steps, seeds, 1), so that each step's draws scale a column
-        uniforms = np.empty((block, n_seeds, 1))
-        for row, rng in enumerate(rngs):
-            uniforms[:, row, 0] = rng.random(block)
-        for draws in uniforms:
-            i = done % len(states)
+    fit = BLOCK_BYTES // (8 * n_seeds * (config.n_nodes + 2))
+    steps = max(min(fit, RECORD_BLOCK, horizon), 1)
+    states = np.empty((steps, n_seeds, config.n_nodes))
+    # (steps, seeds, 1), so that each step's draws scale a column
+    uniforms = np.empty((steps, n_seeds, 1))
+    winners = np.empty((steps, n_seeds), dtype=np.int64)
+    for t0 in range(1, horizon + 1, steps):
+        block = min(steps, horizon + 1 - t0)
+        uniforms[:block, :, 0] = np.stack([rng.random(block) for rng in rngs], axis=1)
+        for draws, won, kept in zip(uniforms[:block], winners, states):
             weights = state if exponent is None else state**exponent
             cum = np.add.accumulate(weights, axis=1)
-            np.add.reduce(cum <= draws * cum[:, -1:], axis=1, out=winners[i])
-            np.add(offsets, winners[i], out=index)
+            np.add.reduce(cum <= draws * cum[:, -1:], axis=1, out=won)
+            np.add(offsets, won, out=index)
             flat[index] += increment(index)
-            states[i] = state
-            done += 1
-            if i + 1 == len(states) or done == horizon:
-                for recorder in recorders:
-                    recorder.record(done - i, states[: i + 1], winners[: i + 1])
+            kept[...] = state
+        for recorder in recorders:
+            recorder.record(t0, states[:block], winners[:block])
     return state
 
 

@@ -24,7 +24,7 @@ class SearchBoundError(RuntimeError):
 
 class BudgetError(RuntimeError):
     """Requested work exceeds a fixed size cap (exact DP cells, Monte Carlo
-    samples * k_max, lines, line width)."""
+    samples * k_max, lines, line width, simulation state)."""
 
 
 class UnsupportedModelError(TypeError):

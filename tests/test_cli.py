@@ -411,6 +411,33 @@ class TestSimulateCommand:
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith("DomainError: power ratios leave the float range")
 
+    @pytest.mark.parametrize("flags", [
+        # 256 steps of 10 seeds of 2,000,000 nodes would take 38 GiB
+        {"n_nodes": 2_000_000, "seeds": list(range(10)), "trajectories_dir": "trajs"},
+        {"n_nodes": 1e12},
+        # one node, but a generator per seed
+        {"n_nodes": 1, "seeds": list(range(100_000)), "horizon": 1},
+    ], ids=["2e6-nodes", "1e12-nodes", "1e5-seeds"])
+    def test_oversized_state_exit_code(self, flags, tmp_path):
+        # SimConfig refuses these before the initial powers or the CSV
+        # header are built; under -W error a warning would end in a traceback
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({
+            "model": "gamma", "br": 3.0, "r_max": 3.0, "horizon": 300,
+            "init": "power-law", **flags,
+        }))
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "simulate",
+             "--config", str(config)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), DECENTSIM_OUT=str(tmp_path)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 5, done.stderr
+        assert done.stderr.startswith("BudgetError: ")
+        assert "state cells, over the cap of 1e+07" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "trajs").exists()
+
     def test_initial_power_overflow_exit_code(self, capsys):
         # 10 ** 400 leaves the float range
         with warnings.catch_warnings(record=True) as caught:
@@ -735,12 +762,21 @@ class TestStreamedSimulate:
             "horizon": 2 * dynamics.RECORD_BLOCK + 37, "seeds": [8, 9, 8], "delta": 40.0,
             "trajectories_dir": "trajs",
         },
-        # ten and thirteen nodes: row sums take numpy's pairwise path
+        # ten and thirteen nodes: row sums take numpy's pairwise path; the
+        # horizon is off a block of 256, 7 or 1 steps
         "ten-nodes-off-both-blocks": {
             "model": "gamma", "br": 0.2, "gamma": 1.5, "r": 1.0, "r_max": 0.2,
             "n_nodes": 10, "init": "power-law", "init_exponent": 2.0,
-            "horizon": dynamics.DRAW_BLOCK + dynamics.RECORD_BLOCK + 3, "seeds": [3, 4],
+            "horizon": 4355, "seeds": [3, 4],
             "epsilon": 2.0, "trajectories_dir": "trajs",
+        },
+        # a step of 2 seeds of 4,500 nodes takes 72 KB, so BLOCK_BYTES
+        # holds 116 steps: a full block and a partial one
+        "budget-block-csv": {
+            "model": "gamma", "br": 1.0, "gamma": 1.5, "r": 1.0, "r_max": 1.0,
+            "n_nodes": 4500, "init": "power-law", "init_exponent": 0.5,
+            "horizon": 120, "seeds": [6, 2], "delta": 30.0, "epsilon": 1.0,
+            "trajectories_dir": "trajs",
         },
         # powers 1..13: the net reward clamps to r_max up to power 3 and
         # to 0 from power 5 on
@@ -757,14 +793,13 @@ class TestStreamedSimulate:
         },
     }
 
-    @pytest.mark.parametrize("blocks", ["default", "record-1-draw-7"])
+    @pytest.mark.parametrize("block", ["default", 1, 7])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_full_trajectory_report(self, case, blocks, tmp_path, monkeypatch):
+    def test_matches_full_trajectory_report(self, case, block, tmp_path, monkeypatch):
         monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
-        default_blocks = dynamics.RECORD_BLOCK, dynamics.DRAW_BLOCK
-        if blocks != "default":
-            monkeypatch.setattr(dynamics, "RECORD_BLOCK", 1)
-            monkeypatch.setattr(dynamics, "DRAW_BLOCK", 7)
+        default_block = dynamics.RECORD_BLOCK
+        if block != "default":
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK", block)
         cfg = parse_config("simulate", overrides=self.CASES[case])
         expected, files, trajectories = reference_simulate(cfg)
         results = run(cfg)["results"]
@@ -774,10 +809,9 @@ class TestStreamedSimulate:
             written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
             assert written == files
         if len(trajectories) >= dynamics.MIN_SLOPE_SEEDS:
-            if blocks != "default":
-                # the slopes do not depend on the blocks either
-                monkeypatch.setattr(dynamics, "RECORD_BLOCK", default_blocks[0])
-                monkeypatch.setattr(dynamics, "DRAW_BLOCK", default_blocks[1])
+            if block != "default":
+                # the slopes do not depend on the block either
+                monkeypatch.setattr(dynamics, "RECORD_BLOCK", default_block)
                 again = run(cfg)["results"]["monotonicity"]
                 assert json.dumps(again) == json.dumps(results["monotonicity"])
             assert_slope_stats_exact(results.pop("monotonicity"), trajectories)
@@ -810,11 +844,11 @@ class TestStreamedSimulate:
                 tracemalloc.stop()
 
         peak_bytes(10)  # one-time allocations of the first run
-        short = peak_bytes(2 * dynamics.DRAW_BLOCK)
-        long = peak_bytes(6 * dynamics.DRAW_BLOCK)
+        short = peak_bytes(8192)
+        long = peak_bytes(24576)
         # keeping one value per seed and step would add
-        # 4 * DRAW_BLOCK * len(seeds) * 8 bytes to the longer run's peak
-        assert long - short < dynamics.DRAW_BLOCK * len(seeds) * 8
+        # 16384 * len(seeds) * 8 bytes to the longer run's peak
+        assert long - short < 32768 * len(seeds)
 
 
 class TestOutputDirEnv:

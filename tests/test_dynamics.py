@@ -15,6 +15,7 @@ from decentsim.dynamics import (
     build_initial_powers,
     ed_verdict,
     monotonicity_stats,
+    run_seeds,
     simulate,
     step,
     summarize,
@@ -292,18 +293,58 @@ class TestSlopeAccumulator:
             assert alone.slopes().tobytes() == slopes[2 * seed : 2 * seed + 2].tobytes()
 
 
-class TestDrawBlocks:
-    def test_trajectories_independent_of_draw_block(self, monkeypatch):
+class TestBlocks:
+    def test_trajectories_independent_of_block(self, monkeypatch):
         # horizon 50 is one block by default and seven full blocks plus a
         # partial one at block size 7
         config = gamma_config(seeds=(1, 7, 9), horizon=50)
         default = simulate(config)
-        monkeypatch.setattr(dynamics, "DRAW_BLOCK", 7)
+        monkeypatch.setattr(dynamics, "RECORD_BLOCK", 7)
         blocked = simulate(config)
         for a, b in zip(default, blocked):
             assert np.array_equal(a.betas, b.betas)
             assert np.array_equal(a.ratios, b.ratios)
             assert np.array_equal(a.winners, b.winners)
+
+    def test_budget_picks_the_block(self):
+        class Lengths(list):
+            def record(self, t0, states, winners):
+                self.append((t0, len(states)))
+
+        # a step of 3 seeds of 3,000 nodes takes 72 KB: BLOCK_BYTES holds
+        # 116 of them, fewer than RECORD_BLOCK
+        config = gamma_config(**TestSummarize.CASES["budget-block"])
+        lengths = Lengths()
+        summarize(config, [lengths])
+        assert lengths == [(0, 1), (1, 116), (117, 116), (233, 68)]
+
+    def test_one_step_block_when_a_step_is_over_budget(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES", 8)
+        config = gamma_config(seeds=(1, 7, 9), horizon=20)
+        blocked = simulate(config)
+        monkeypatch.undo()
+        for a, b in zip(simulate(config), blocked):
+            assert np.array_equal(a.betas, b.betas)
+            assert np.array_equal(a.winners, b.winners)
+
+    def test_peak_memory_is_state_plus_budget(self):
+        # 2 seeds of 50,000 nodes over 40 steps: a record block of every
+        # step would take 32 MB
+        config = gamma_config(
+            model=GammaReward(1.0, 0.5), reward=RewardParams(1.0, 1.0), horizon=40,
+            n_nodes=50_000, init=PowerLawInit(1.0), seeds=(0, 1),
+        )
+        state_bytes = 2 * 50_000 * 8
+        run_seeds(config, [])  # one-time allocations of the first run
+        tracemalloc.start()
+        try:
+            run_seeds(config, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block, and the initial powers, the state, its weights and their
+        # cumulative sums
+        assert peak < dynamics.BLOCK_BYTES + 5 * state_bytes
 
 
 class TestSummarize:
@@ -346,7 +387,7 @@ class TestSummarize:
             reward=RewardParams(0.5, 2.0),
             n_nodes=3,
             init=ExplicitInit((3.0, 1.0, 2.0)),
-            horizon=dynamics.DRAW_BLOCK + 37,
+            horizon=4133,
             seeds=(8, 9),
             epsilon=0.0,
             delta=40.0,
@@ -358,13 +399,14 @@ class TestSummarize:
             seeds=(2, 6, 11),
             epsilon=3.0,
         ),
-        # ten and thirteen nodes: row sums take numpy's pairwise path
+        # ten and thirteen nodes: row sums take numpy's pairwise path; the
+        # horizon is off a block of 256, 7 or 1 steps
         "ten-nodes-off-both-blocks": dict(
             model=GammaReward(0.2, 0.7),
             reward=RewardParams(1.0, 0.2),
             n_nodes=10,
             init=PowerLawInit(2.0),
-            horizon=dynamics.DRAW_BLOCK + dynamics.RECORD_BLOCK + 3,
+            horizon=4355,
             seeds=(4, 5),
             epsilon=2.0,
         ),
@@ -380,6 +422,17 @@ class TestSummarize:
             epsilon=5.0,
             delta=30.0,
         ),
+        # the byte budget, not RECORD_BLOCK, sets the block of 116 steps
+        "budget-block": dict(
+            model=GammaReward(1.0, 1.5),
+            reward=RewardParams(1.0, 1.0),
+            n_nodes=3000,
+            init=PowerLawInit(0.5),
+            horizon=300,
+            seeds=(0, 4, 2),
+            epsilon=1.0,
+            delta=20.0,
+        ),
         "reward-schedule": dict(
             model=GammaReward(0.0, 0.5, b_r_fn=lambda total: 30.0 / total),
             reward=RewardParams(1.0, 2.0),
@@ -391,12 +444,11 @@ class TestSummarize:
         ),
     }
 
-    @pytest.mark.parametrize("blocks", ["default", "record-1-draw-7"])
+    @pytest.mark.parametrize("block", ["default", 1, 7])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_ed_verdict_on_full_trajectories(self, case, blocks, monkeypatch):
-        if blocks != "default":
-            monkeypatch.setattr(dynamics, "RECORD_BLOCK", 1)
-            monkeypatch.setattr(dynamics, "DRAW_BLOCK", 7)
+    def test_matches_ed_verdict_on_full_trajectories(self, case, block, monkeypatch):
+        if block != "default":
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK", block)
         config = gamma_config(**self.CASES[case])
         trajs = simulate(config)
         expected = ed_verdict(
@@ -457,8 +509,8 @@ class TestSummarize:
                 tracemalloc.stop()
 
         peak_bytes(10)  # one-time allocations of the first run
-        short = peak_bytes(2 * dynamics.DRAW_BLOCK)
-        long = peak_bytes(6 * dynamics.DRAW_BLOCK)
-        # keeping one value per seed and step would add 4 * DRAW_BLOCK
-        # steps * 8 seeds * 8 bytes to the longer run's peak
-        assert long - short < dynamics.DRAW_BLOCK * 8 * 8
+        short = peak_bytes(8192)
+        long = peak_bytes(24576)
+        # keeping one value per seed and step would add 16384 steps
+        # * 8 seeds * 8 bytes to the longer run's peak
+        assert long - short < 262144
