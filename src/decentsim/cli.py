@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bound import SweepRow, WalkParams, exact_g, real_world_anchors, sweep, u_sensitivity
 from .conditions import check_all, check_linearity
-from .config import SCHEMAS, RunConfig, echo_values, parse_config
+from .config import SCHEMAS, WALK_KEYS, RunConfig, echo_values, parse_config
 from .core import PlayerMap, PowerVector, RewardParams
 from .dynamics import (
     INITS, MIN_SLOPE_SEEDS, SimConfig, SlopeAccumulator, _fractions, _ratios, summarize
@@ -146,33 +146,15 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
 
 
 def _walk_params(cfg: RunConfig, f: float, rho: float, epsilon: float) -> WalkParams:
-    return WalkParams(
-        f=f,
-        rho=rho,
-        epsilon=epsilon,
-        u=cfg["u"],
-        k_max=cfg["k_max"],
-        samples=cfg["samples"],
-        seed=cfg["seed"],
-        strategy=cfg["strategy"],
-        n_jump=cfg["n_jump"],
-    )
+    walk = {key.name: cfg[key.name] for key in WALK_KEYS}
+    return WalkParams(f=f, rho=rho, epsilon=epsilon, **walk)
 
 
 def _run_bound(cfg: RunConfig) -> dict[str, Any]:
     params = _walk_params(cfg, cfg["f"], cfg["rho"], cfg["epsilon"])
-    result = exact_g(params)
-    results: dict[str, Any] = {
-        "estimate": result.estimate,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "std_error": result.std_error,
-        "p0": result.p0,
-        "p0_std_error": result.p0_std_error,
-        "p0_analytic_bound": (1.0 + params.epsilon) * params.f,
-        "dense_success_mass": result.dense_success_mass,
-        "per_k": list(result.per_k),
-    }
+    results = dataclasses.asdict(exact_g(params))
+    del results["samples"], results["params"]
+    results["p0_analytic_bound"] = params.reach
     if cfg["u_sweep"]:
         results["u_sensitivity"] = [
             {"u": u, "estimate": est} for u, est in u_sensitivity(params)

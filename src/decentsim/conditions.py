@@ -163,9 +163,12 @@ def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int,
     running.  A survivor adds a running player only if its owner runs no node
     outside the set, and at most m - 1 - |outside| may; so that set is the
     first k members whose owner runs a node outside or that are among the
-    first m - 1 - |outside| others."""
+    first m - 1 - |outside| others.  Every player with no node in a set of s
+    nodes runs one outside it, so sets of at most players + 1 - m nodes have
+    no survivor that counts and are skipped."""
     indices = range(len(pm))
-    for size in range(2, len(pm) + 1):
+    players = len(set(pm.owners))
+    for size in range(max(2, players + 2 - m), players + 1):
         for subset in combinations(indices, size):
             owners = [pm.owners[i] for i in subset]
             if len(set(owners)) != len(owners):

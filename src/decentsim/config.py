@@ -26,55 +26,51 @@ REQUIRED = object()
 @dataclass(frozen=True)
 class Key:
     name: str
-    kind: str  # float | int | str | bool | floats | ints
+    kind: str  # float | int | str | bool, or floats | ints: a list of that scalar
     default: Any = REQUIRED
     choices: tuple[str, ...] | None = None
     help: str = ""
 
 
+def _scalar(kind: str, value: Any) -> Any:
+    """``value`` as one ``kind``: integers stay exact at any size, an int may
+    be written as an integral float, and only a bool key takes a bool.
+    Raises TypeError or ValueError where it is none."""
+    if type(value).__name__ == kind:  # a bool is not an int here
+        return value
+    if kind == "bool" and isinstance(value, str) and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    if kind in ("str", "bool") or isinstance(value, bool):
+        raise TypeError
+    if kind == "float":
+        return float(value)
+    if isinstance(value, str) and value.strip().lstrip("+-").isdigit():
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError
+    return int(number)
+
+
 def _coerce(key: Key, value: Any) -> Any:
+    """A scalar key's value by its kind's rule; a list key's comma string or
+    JSON list as a tuple, each item by its scalar's rule."""
+    scalar = key.kind.removesuffix("s")
     try:
-        if key.kind == "float":
-            if isinstance(value, bool):
+        if scalar == key.kind:
+            coerced = _scalar(scalar, value)
+        else:
+            items = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
+            if not isinstance(items, (list, tuple)):
                 raise TypeError
-            return float(value)
-        if key.kind == "int":
-            if isinstance(value, bool):
-                raise TypeError
-            as_float = float(value)
-            if as_float != int(as_float):
-                raise TypeError
-            return int(as_float)
-        if key.kind == "str":
-            if not isinstance(value, str):
-                raise TypeError
-            if key.choices and value not in key.choices:
-                raise ConfigError(
-                    f"config key '{key.name}' must be one of {list(key.choices)}, got {value!r}"
-                )
-            return value
-        if key.kind == "bool":
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str) and value.lower() in ("true", "false"):
-                return value.lower() == "true"
-            raise TypeError
-        if key.kind in ("floats", "ints"):
-            if isinstance(value, str):
-                parts = [p for p in value.split(",") if p.strip() != ""]
-            elif isinstance(value, (list, tuple)):
-                parts = list(value)
-            else:
-                raise TypeError
-            caster = float if key.kind == "floats" else int
-            return tuple(caster(p) for p in parts)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError):  # int("inf") overflows
-        pass
-    raise ConfigError(
-        f"config key '{key.name}' expects {key.kind}, got {value!r}"
-    )
+            coerced = tuple(_scalar(scalar, item) for item in items)
+    except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
+        raise ConfigError(f"config key '{key.name}' expects {key.kind}, got {value!r}") from None
+    if key.choices and coerced not in key.choices:
+        raise ConfigError(
+            f"config key '{key.name}' must be one of {list(key.choices)}, got {value!r}"
+        )
+    return coerced
 
 
 SHARED_KEYS = [
@@ -95,8 +91,8 @@ MODEL_KEYS = [
     Key("k", "float", default=1.0, help="linear coefficient scale (linear)"),
 ]
 
+# the WalkParams fields that bound and sweep both read from their config
 WALK_KEYS = [
-    Key("epsilon", "float", default=WalkParams.epsilon),
     Key("u", "float", default=WalkParams.u, help="poor node's relative gain per micro-step"),
     Key("k_max", "int", default=WalkParams.k_max, help="rich-gain truncation"),
     Key("samples", "int", default=WalkParams.samples, help="ignored: every bound is exact"),
@@ -130,7 +126,10 @@ SCHEMAS: dict[str, list[Key]] = {
         Key("window", "int", default=0, help="ED window in steps; 0 means final 10%"),
         Key("trajectories_dir", "str", default="", help="write per-seed CSVs here"),
     ],
-    "bound": SHARED_KEYS + [Key("f", "float"), Key("rho", "float")] + WALK_KEYS + [
+    "bound": SHARED_KEYS + [
+        Key("f", "float"), Key("rho", "float"),
+        Key("epsilon", "float", default=WalkParams.epsilon),
+    ] + WALK_KEYS + [
         Key("u_sweep", "bool", default=False,
             help="also report estimates at u in {1e-2, 1e-3, 1e-4}"),
     ],
@@ -138,7 +137,7 @@ SCHEMAS: dict[str, list[Key]] = {
         Key("f_grid", "floats"),
         Key("epsilon_grid", "floats"),
         Key("rho_grid", "floats"),
-    ] + [key for key in WALK_KEYS if key.name != "epsilon"] + [
+    ] + WALK_KEYS + [
         Key("csv_out", "str", default="", help="write the curve table here"),
     ],
     "metrics": SHARED_KEYS + [

@@ -188,28 +188,26 @@ def step(
     return PowerVector(tuple(powers))
 
 
-def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float | None, Callable]:
+def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
     """What stays constant through a run over ``state``: the weight exponent
-    (None where the weights are the powers) and the winner's increment
-    r · clamp(net reward, 0, r_max) as a function of the winners' indices
-    into the flattened state, one float where the net reward depends on
-    neither.  Powers never shrink and grow by at most the largest increment
-    per step, so a run whose weights could overflow, or start all at 0, is
-    refused here: its lottery would have no winner."""
+    and the winner's increment r · clamp(net reward, 0, r_max) as a function
+    of the winners' indices into the flattened state, one float where the
+    net reward depends on neither.  Powers never shrink and grow by at most
+    the largest increment per step, so a run whose weights could overflow,
+    or start all at 0, is refused here: its lottery would have no winner."""
     model, reward = config.model, config.reward
     if bool(np.any(state < model.s_b)):
         raise DomainError("every stake must be >= s_b to run the lottery")
     largest = min(max(model.max_net_reward(), 0.0), reward.r_max)
     exponent = model.weight_exponent()
-    gamma = 1.0 if exponent is None else exponent
     low = float(state.max())
     high = low + config.horizon * (reward.r * largest)
     with np.errstate(over="ignore", under="ignore"):
-        light, heavy = np.array([low, high]) ** gamma
+        light, heavy = np.array([low, high]) ** exponent
     if not math.isfinite(state.shape[1] * max(high, heavy)) or light == 0.0:
         raise DomainError(
             f"lottery weights leave the float range: powers run from {low!r} up to "
-            f"{high!r} and are weighted by exponent {gamma!r}"
+            f"{high!r} and are weighted by exponent {exponent!r}"
         )
     # fractions run down to least / (n * high), so their ratios up to its inverse
     least = float(state.min())
@@ -284,8 +282,7 @@ def run_seeds(config: SimConfig, recorders: Sequence[Recorder]) -> np.ndarray:
         block = min(steps, horizon + 1 - t0)
         uniforms[:block, :, 0] = np.stack([rng.random(block) for rng in rngs], axis=1)
         for draws, won, kept in zip(uniforms[:block], winners, states):
-            weights = state if exponent is None else state**exponent
-            cum = np.add.accumulate(weights, axis=1)
+            cum = np.add.accumulate(state**exponent, axis=1)
             np.add.reduce(cum <= draws * cum[:, -1:], axis=1, out=won)
             np.add(offsets, won, out=index)
             flat[index] += increment(index)

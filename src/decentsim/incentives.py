@@ -37,16 +37,15 @@ class _Model:
 
 class _Lottery(_Model):
     """One block winner per time unit, drawn with probability
-    weight / sum(weights), weights = powers ** weight_exponent() (the powers
-    themselves where that is None).  ``net_reward(powers, state)`` is the
-    net reward of winners of the given powers, one per row of the (seeds,
-    nodes) ``state``, and one float where it depends on neither;
-    ``max_net_reward()`` is its largest value."""
+    weight / sum(weights), weights = powers ** weight_exponent().
+    ``net_reward(powers, state)`` is the net reward of winners of the given
+    powers, one per row of the (seeds, nodes) ``state``, and one float where
+    it depends on neither; ``max_net_reward()`` is its largest value."""
 
     LOTTERY = True
 
-    def weight_exponent(self) -> float | None:
-        return None
+    def weight_exponent(self) -> float:
+        return 1.0
 
     def block_reward(self, total_power: float) -> float:
         return self.b_r
@@ -233,9 +232,7 @@ def parts_utility(model: IncentiveModel, parts: Sequence[float], context: Sequen
 def lottery_weights(model: IncentiveModel, powers: np.ndarray) -> np.ndarray:
     """Winner weights of the block lottery; probability of winning is
     weight / sum(weights)."""
-    powers = np.asarray(powers, dtype=float)
-    exponent = model.weight_exponent()
-    return powers if exponent is None else powers**exponent
+    return np.asarray(powers, dtype=float) ** model.weight_exponent()
 
 
 def block_reward(model: IncentiveModel, total_power: float) -> float:

@@ -316,6 +316,16 @@ class TestBoundCommand:
         assert main(["bound", "--f", "0.5", "--rho", "0.1", "--k_max", "inf"]) == 2
         assert "config key 'k_max' expects int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("u_sweep", [False, True])
+    def test_report_keys(self, u_sweep):
+        # BoundEstimate's fields less samples and params, plus the analytic bound
+        results = run(parse_config("bound", overrides={
+            "f": 1e-3, "rho": 0.1, "k_max": 3, "u_sweep": u_sweep,
+        }))["results"]
+        keys = {"estimate", "ci_low", "ci_high", "std_error", "p0", "p0_std_error",
+                "p0_analytic_bound", "dense_success_mass", "per_k"}
+        assert set(results) == keys | ({"u_sensitivity"} if u_sweep else set())
+
     def test_empty_sweep_grid_exit_code(self, capsys):
         assert main(["sweep", "--f_grid=", "--epsilon_grid=0", "--rho_grid=0.1"]) == 3
         assert "DomainError: sweep grids must be non-empty" in capsys.readouterr().err
@@ -370,6 +380,14 @@ class TestSimulateCommand:
         assert rows[0] == ["step", "ratio", "beta_1", "beta_2"]
         assert len(rows) == 42
         assert float(rows[1][2]) + float(rows[1][3]) == pytest.approx(1.0)
+
+    def test_fractional_seed_in_file_exit_code(self, tmp_path, capsys):
+        # a JSON list item follows the int rule, as the comma string does
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"seeds": [0.5]}))
+        code = main(self.ARGS[:-2] + ["--config", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ConfigError: config key 'seeds' expects ints")
 
     @pytest.mark.parametrize("horizon", ["0", "40"])
     def test_window_below_one_exit_code(self, horizon, capsys):

@@ -171,6 +171,13 @@ class TestMergeSurvivors:
         assert res.holds
         assert time.perf_counter() - started < 2.0
 
+    def test_many_players_small_m(self):
+        # only sets of 21 or 22 of the 22 players can leave fewer than 3 running
+        started = time.perf_counter()
+        res = check_nd(PoW(1), PowerVector((1,) * 22), players(22), m=3, grid=2, max_nodes=22)
+        assert res.holds
+        assert time.perf_counter() - started < 2.0
+
 
 class TestSplitCondition:
     def test_square_root_lottery_rewards_sybils(self):

@@ -1,10 +1,18 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from decentsim.config import echo_values, parse_config
+from decentsim.bound import WalkParams
+from decentsim.config import WALK_KEYS, echo_values, parse_config
 from decentsim.errors import ConfigError
+
+# a simulate run without its seeds
+SIMULATE = dict(model="gamma", br=3.0, r_max=3.0, horizon=5, n_nodes=2,
+                init="explicit", init_powers="4,1")
+# the least positive int that a float cannot hold
+BIG = 2**53 + 1
 
 # checked-in run configs, one directory per subcommand
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -34,6 +42,13 @@ class TestBoundSchema:
             parse_config("bound", overrides={"f": 1e-4, "rho": 0.1, "samples": "many"})
         with pytest.raises(ConfigError, match="samples"):
             parse_config("bound", overrides={"f": 1e-4, "rho": 0.1, "samples": 10.5})
+        with pytest.raises(ConfigError, match="samples"):
+            parse_config("bound", overrides={"f": 1e-4, "rho": 0.1, "samples": True})
+
+    def test_walk_keys_are_the_walk_params_fields(self):
+        # _walk_params passes WALK_KEYS to WalkParams by name
+        fields = {field.name for field in dataclasses.fields(WalkParams)}
+        assert fields == {"f", "rho", "epsilon"} | {key.name for key in WALK_KEYS}
 
     def test_bad_choice_named(self):
         with pytest.raises(ConfigError, match="strategy"):
@@ -89,6 +104,35 @@ class TestListKeys:
             ),
         )
         assert cfg["seeds"] == (0, 1, 2)
+
+    def test_items_follow_their_scalar_rule(self):
+        # "2.0" is an int key's 2, so a list item "1.0" is the seed 1
+        cfg = parse_config("simulate", overrides={**SIMULATE, "seeds": "1.0,2"})
+        assert cfg["seeds"] == (1, 2)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seeds", [0.5, 1.7]), ("seeds", [True, 2]), ("init_powers", [True, 2])],
+        ids=["fractional-seeds", "bool-seed", "bool-power"],
+    )
+    def test_bad_items_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"config key '{key}' expects"):
+            parse_config("simulate", overrides={**SIMULATE, key: value})
+
+
+class TestExactInts:
+    @pytest.mark.parametrize("value", [BIG, str(BIG)], ids=["json-int", "digit-string"])
+    def test_check_seed(self, value):
+        cfg = parse_config("check", overrides={
+            "model": "pow", "br": 1, "powers": "1,1", "m": 1, "seed": value,
+        })
+        assert cfg["seed"] == BIG
+
+    def test_horizon(self):
+        assert parse_config("simulate", overrides={**SIMULATE, "horizon": BIG})["horizon"] == BIG
+
+    def test_seeds_item(self):
+        assert parse_config("simulate", overrides={**SIMULATE, "seeds": [BIG]})["seeds"] == (BIG,)
 
 
 class TestEcho:

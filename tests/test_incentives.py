@@ -15,6 +15,7 @@ from decentsim.incentives import (
     PoW,
     ThresholdCoverSybilCost,
     ZeroSybilCost,
+    lottery_weights,
     realized_utility,
     sybil_cost,
     utility,
@@ -140,6 +141,12 @@ def lottery_draws(model, powers, n_seeds=4000, steps=25):
 
 
 class TestLotteryDraws:
+    @pytest.mark.parametrize("model", [PoW(12.5, 0.1, 1.0), PoS(5, 1, s_b=0.5)])
+    def test_weights_are_the_powers(self, model):
+        # exponent 1: the weights equal the powers bit for bit
+        powers = np.array([1e-300, 5e-324, 0.7, 3.0, 1.7e308])
+        assert lottery_weights(model, powers).tobytes() == powers.tobytes()
+
     def test_single_node_always_wins(self):
         assert np.all(lottery_draws(GammaReward(3, 0.5), (2.0,), n_seeds=20, steps=5) == 0)
 
