@@ -15,10 +15,10 @@ limit statement about the power dynamics and is delegated to the simulator.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterator
+from functools import cache
+from itertools import accumulate, combinations, islice
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -118,6 +118,18 @@ def check_gr(model: IncentiveModel, pv: PowerVector, m: int) -> GrResult:
     return GrResult(holds=count >= m, profitable_nodes=count, m=m)
 
 
+def _compositions(remaining: int, slots: int, low: int) -> Iterator[tuple[int, ...]]:
+    """Each way to write ``remaining`` as ``slots`` integers >= ``low``, none
+    below the one before it, in lexicographic order."""
+    if slots == 1:
+        if remaining >= low:
+            yield (remaining,)
+        return
+    for first in range(low, remaining // slots + 1):
+        for rest in _compositions(remaining - first, slots - 1, first):
+            yield (first, *rest)
+
+
 def grid_allocations(total: float, parts: int, grid: int) -> Iterator[tuple[float, ...]]:
     """All strictly positive splits of ``total`` into ``parts`` grid cells,
     one per multiset of parts.
@@ -129,32 +141,20 @@ def grid_allocations(total: float, parts: int, grid: int) -> Iterator[tuple[floa
     if parts < 1 or grid < parts:
         return
     unit = total / grid
-
-    def compose(remaining: int, slots: int, low: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(low, remaining // slots + 1):
-            for rest in compose(remaining - first, slots - 1, first):
-                yield (first, *rest)
-
-    for cells in compose(grid, parts, 1):
+    for cells in _compositions(grid, parts, 1):
         yield tuple(c * unit for c in cells)
 
 
-def _check_search_size(what: str, grid: int, top: int, searches: Callable[[int], int]) -> None:
-    """Refuse, above MAX_ALLOCATIONS, ``searches(t)`` grid splits into t <= top
-    parts, p(grid, t) = p(grid - 1, t - 1) + p(grid - t, t) each.  p never falls
-    as grid grows, so rows stop once past the bound (or at 1 if top <= 1).
-    """
-    rows = deque([[1]], maxlen=max(top, 1))  # rows[-k] holds p(n - k, 0..min(n - k, top))
-    for n in range(1, (grid if top > 1 else min(grid, 1)) + 1):
-        rows.append([0] + [rows[-1][t - 1] + (rows[-t][t] if 2 * t <= n else 0)
-                           for t in range(1, min(n, top) + 1)])
-        count = sum(searches(t) * p for t, p in enumerate(rows[-1]))
+def _check_search_size(what: str, grid: int, searches: Iterable[int]) -> int:
+    """Refuse, once past MAX_ALLOCATIONS, searches of grid splits into the given
+    part counts, each counted by walking (once, up to one past the bound) the
+    compositions ``grid_allocations`` scales; else return the count."""
+    size = cache(lambda t: sum(1 for _ in islice(_compositions(grid, t, 1), MAX_ALLOCATIONS + 1)))
+    for count in accumulate(map(size, searches), initial=0):
         if count > MAX_ALLOCATIONS:
             raise SearchBoundError(f"the {what} search would score at least {count} "
                                    f"grid allocations, above the bound of {MAX_ALLOCATIONS}")
+    return count
 
 
 def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -166,18 +166,18 @@ def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int,
     first m - 1 - |outside| others.  Every player with no node in a set of s
     nodes runs one outside it, so sets of at most players + 1 - m nodes have
     no survivor that counts and are skipped."""
-    indices = range(len(pm))
-    players = len(set(pm.owners))
+    nodes = {owner: pm.owners.count(owner) for owner in pm.owners}
+    players = len(nodes)
     for size in range(max(2, players + 2 - m), players + 1):
-        for subset in combinations(indices, size):
+        for subset in combinations(range(len(pm)), size):
             owners = [pm.owners[i] for i in subset]
             if len(set(owners)) != len(owners):
                 continue  # not a distinct-player set
-            outside = {pm.owners[i] for i in indices if i not in subset}
-            room = m - 1 - len(outside)
+            alone = [i for i, owner in zip(subset, owners) if nodes[owner] == 1]
+            room = m - 1 - (players - len(alone))  # players - |alone| run a node outside
             if room < 0:
                 continue
-            barred = [i for i, owner in zip(subset, owners) if owner not in outside][room:]
+            barred = alone[room:]
             may_survive = [i for i in subset if i not in barred]
             for surv_size in range(1, min(size, len(may_survive) + 1)):
                 yield subset, tuple(may_survive[:surv_size])
@@ -221,11 +221,10 @@ def check_nd(
         raise DomainError("power vector and player map must be parallel")
     if n > max_nodes:
         raise SearchBoundError(f"{n} nodes exceeds the merge search bound of {max_nodes}")
-    merges = list(_merges(pm, m))
-    sizes = Counter(len(survivors) for _, survivors in merges)
-    _check_search_size("merge", grid, max(sizes, default=0), sizes.__getitem__)
+    if not _check_search_size("merge", grid, (len(survivors) for _, survivors in _merges(pm, m))):
+        return NdResult(holds=True, witness=None)
     best: MergeWitness | None = None
-    for subset, survivors in merges:
+    for subset, survivors in _merges(pm, m):
         separate = math.fsum(realized_utility(model, i, pv) for i in subset)
         pool = math.fsum(pv.powers[i] for i in subset)
         keep = tuple(pv.powers[i] for i in range(n) if i not in subset)
@@ -258,12 +257,13 @@ def check_ns(
     eps = effective_powers(pv, pm)
     threshold = percentile_power(list(eps.values()), delta)
     audited = [(player, power) for player, power in eps.items() if power >= threshold]
-    _check_search_size("split", grid, min(max_parts, grid), lambda t: len(audited) * (t >= 2))
+    part_counts = range(2, min(max_parts, grid) + 1)
+    _check_search_size("split", grid, (parts for _ in audited for parts in part_counts))
     best: SplitWitness | None = None
     for player, power in audited:
         context = tuple(pv.powers[i] for i in range(len(pv)) if pm.owners[i] != player)
         single = parts_utility(model, (power,), context)
-        for parts_count in range(2, min(max_parts, grid) + 1):
+        for parts_count in part_counts:
             found = _best_split(model, power, parts_count, context, grid, single,
                                 lambda parts: sybil_cost(sybil, model, parts, context))
             if found is not None and (best is None or found[0] > best.gain):

@@ -65,6 +65,8 @@ class DecentralizationSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise DomainError("m must be a positive integer")
+        if not math.isfinite(self.epsilon):
+            raise DomainError("epsilon must be finite")
         if self.epsilon < 0:
             raise DomainError("epsilon must be >= 0")
         if not 0 <= self.delta <= 100:

@@ -194,7 +194,8 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
     of the winners' indices into the flattened state, one float where the
     net reward depends on neither.  Powers never shrink and grow by at most
     the largest increment per step, so a run whose weights could overflow,
-    or start all at 0, is refused here: its lottery would have no winner."""
+    or start all at 0, is refused here: its lottery would have no winner.
+    So is one whose net reward could overflow."""
     model, reward = config.model, config.reward
     if bool(np.any(state < model.s_b)):
         raise DomainError("every stake must be >= s_b to run the lottery")
@@ -215,10 +216,14 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
         raise DomainError(
             f"power ratios leave the float range: powers run from {least!r} up to {high!r}"
         )
+    # a winner's power stays in [least, high]: a net reward monotone in it is
+    # finite if it is at both ends, and one float if free of power and state
+    with np.errstate(over="ignore"):
+        net = model.net_reward(np.array([least, high]), state[:0])
+    if not np.all(np.isfinite(net)):
+        raise DomainError(f"net rewards leave the float range: powers run from {least!r} "
+                          f"up to {high!r}")
     flat = state.reshape(-1)
-    # asked for no winners, a net reward that depends on neither the winners
-    # nor the state is still one float
-    net = model.net_reward(flat[:0], state[:0])
     if np.ndim(net) == 0:
         fixed = reward.r * min(max(net, 0.0), reward.r_max)
         return exponent, lambda index: fixed

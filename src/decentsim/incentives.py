@@ -262,10 +262,7 @@ class ThresholdCoverSybilCost:
     KEYS = {"margin": "margin"}
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.margin):
-            raise DomainError("margin must be finite")
-        if self.margin < 0:
-            raise DomainError("margin must be >= 0")
+        _check_nonneg(margin=self.margin)
 
     def cost(self, model: IncentiveModel, parts: list[float], context: Sequence[float]) -> float:
         """The utility of the split set and of the merged single node

@@ -416,18 +416,23 @@ class TestSimulateCommand:
         assert main(["simulate", *argv, "--seeds", "1"]) == 3
         assert "DomainError: lottery weights leave the float range" in capsys.readouterr().err
 
-    def test_power_ratio_overflow_exit_code(self):
-        # under -W error a numpy overflow warning in the ratios would end in
-        # a traceback
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", "gamma", "--br", "3", "--init_powers", "1e300,1e-300"],
+         "power ratios leave the float range"),
+        # c1 times a power overflows in the PoW net reward
+        (["--model", "pow", "--br", "3", "--c1", "1e308", "--init_powers", "4,1"],
+         "net rewards leave the float range"),
+    ], ids=["power-ratio", "pow-net-reward"])
+    def test_power_ratio_overflow_exit_code(self, argv, message):
+        # under -W error a numpy overflow warning would end in a traceback
         done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "decentsim.cli", "simulate",
-             "--model", "gamma", "--br", "3", "--r_max", "3", "--horizon", "5",
-             "--n_nodes", "2", "--init", "explicit", "--init_powers", "1e300,1e-300"],
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "simulate", *argv,
+             "--r_max", "3", "--horizon", "5", "--n_nodes", "2", "--init", "explicit"],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
             capture_output=True, text=True,
         )
         assert done.returncode == 3, done.stderr
-        assert done.stderr.startswith("DomainError: power ratios leave the float range")
+        assert done.stderr.startswith(f"DomainError: {message}")
 
     @pytest.mark.parametrize("flags", [
         # 256 steps of 10 seeds of 2,000,000 nodes would take 38 GiB

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -170,6 +171,27 @@ class TestMergeSurvivors:
         res = check_nd(PoW(1), PowerVector((1,) * 15), players(15), m=1, grid=2, max_nodes=15)
         assert res.holds
         assert time.perf_counter() - started < 2.0
+
+    def test_many_players_large_m(self, monkeypatch):
+        # every distinct-player set of the 2^30 counts at m = 31, so the
+        # refusal comes while the (set, survivor count) pairs are still walked
+        def search():
+            with pytest.raises(SearchBoundError, match="merge search"):
+                check_nd(PoW(1), PowerVector((1,) * 30), players(30), m=31, grid=2, max_nodes=30)
+
+        started = time.perf_counter()
+        search()
+        assert time.perf_counter() - started < 3.0
+        # a lazy walk holds one set at a time however far it gets, so a tenth
+        # of the bound shows its peak in a tenth of the traced time
+        monkeypatch.setattr(conditions, "MAX_ALLOCATIONS", conditions.MAX_ALLOCATIONS // 10)
+        tracemalloc.start()
+        try:
+            search()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_many_players_small_m(self):
         # only sets of 21 or 22 of the 22 players can leave fewer than 3 running

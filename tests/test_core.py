@@ -167,6 +167,8 @@ class TestIsDecentralized:
             DecentralizationSpec(m=1, epsilon=-0.1, delta=0)
         with pytest.raises(DomainError):
             DecentralizationSpec(m=1, epsilon=0, delta=101)
+        with pytest.raises(DomainError, match="epsilon must be finite"):
+            DecentralizationSpec(m=2, epsilon=math.nan, delta=0)
 
 
 class TestRewardParams:
