@@ -81,7 +81,7 @@ def sim_config(cfg: RunConfig) -> SimConfig:
         seeds=cfg["seeds"],
         epsilon=cfg["epsilon"],
         delta=cfg["delta"],
-        window=cfg["window"] or None,
+        window=cfg["window"],
     )
 
 
@@ -187,9 +187,7 @@ def _run_sweep(cfg: RunConfig) -> dict[str, Any]:
 def _run_metrics(cfg: RunConfig) -> dict[str, Any]:
     dataset = load_producer_csv(cfg["input"])
     rep = metrics_report(dataset)
-    results: dict[str, Any] = {
-        "levels": [dataclasses.asdict(level) for level in rep.levels]
-    }
+    results = dataclasses.asdict(rep)
     if cfg["csv_out"]:
         header, row = [], []
         for level in rep.levels:
@@ -204,13 +202,7 @@ def _run_check(cfg: RunConfig) -> dict[str, Any]:
         raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
     model = _build(MODELS, cfg, "model")
     powers = PowerVector(cfg["powers"])
-    if cfg["owners"]:
-        owners = tuple(o.strip() for o in cfg["owners"].split(","))
-        if "" in owners:
-            raise DomainError(f"owners must name a player for every node, got {cfg['owners']!r}")
-    else:
-        owners = tuple(f"p{i + 1}" for i in range(len(powers)))
-    pm = PlayerMap(owners)
+    pm = PlayerMap(cfg["owners"] or tuple(f"p{i + 1}" for i in range(len(powers))))
     rep = check_all(
         model, _build(SYBIL_COSTS, cfg, "sybil"), powers, pm, cfg["m"],
         delta=cfg["delta"], grid=cfg["grid"], max_nodes=cfg["max_nodes"],

@@ -165,9 +165,13 @@ def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int,
     first k members whose owner runs a node outside or that are among the
     first m - 1 - |outside| others.  Every player with no node in a set of s
     nodes runs one outside it, so sets of at most players + 1 - m nodes have
-    no survivor that counts and are skipped."""
+    no survivor that counts and are skipped.  A set that counts thus holds at
+    least players + 1 - m nodes whose owner runs no other, so with fewer
+    one-node players there is none."""
     nodes = {owner: pm.owners.count(owner) for owner in pm.owners}
     players = len(nodes)
+    if list(nodes.values()).count(1) < players + 1 - m:
+        return
     for size in range(max(2, players + 2 - m), players + 1):
         for subset in combinations(range(len(pm)), size):
             owners = [pm.owners[i] for i in subset]

@@ -26,7 +26,7 @@ REQUIRED = object()
 @dataclass(frozen=True)
 class Key:
     name: str
-    kind: str  # float | int | str | bool, or floats | ints: a list of that scalar
+    kind: str  # float | int | str | bool, or floats | ints | strs: a list of that scalar
     default: Any = REQUIRED
     choices: tuple[str, ...] | None = None
     help: str = ""
@@ -54,15 +54,22 @@ def _scalar(kind: str, value: Any) -> Any:
 
 def _coerce(key: Key, value: Any) -> Any:
     """A scalar key's value by its kind's rule; a list key's comma string or
-    JSON list as a tuple, each item by its scalar's rule."""
+    JSON list as a tuple, each stripped item by its scalar's rule.  A blank
+    string is the empty list, and no list has an empty item."""
     scalar = key.kind.removesuffix("s")
     try:
         if scalar == key.kind:
             coerced = _scalar(scalar, value)
         else:
-            items = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
-            if not isinstance(items, (list, tuple)):
+            if isinstance(value, str):
+                items = value.split(",") if value.strip() else []
+            elif isinstance(value, (list, tuple)):
+                items = value
+            else:
                 raise TypeError
+            items = [item.strip() if isinstance(item, str) else item for item in items]
+            if "" in items:
+                raise ValueError
             coerced = tuple(_scalar(scalar, item) for item in items)
     except (TypeError, ValueError, OverflowError):  # float(10**400) overflows
         raise ConfigError(f"config key '{key.name}' expects {key.kind}, got {value!r}") from None
@@ -146,7 +153,7 @@ SCHEMAS: dict[str, list[Key]] = {
     ],
     "check": SHARED_KEYS + MODEL_KEYS + [
         Key("powers", "floats"),
-        Key("owners", "str", default="", help="comma list parallel to powers; default one player per node"),
+        Key("owners", "strs", default=(), help="player of each node; default one player per node"),
         Key("m", "int"),
         Key("delta", "float", default=0.0),
         Key("grid", "int", default=DEFAULT_GRID),

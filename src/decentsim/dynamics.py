@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import PowerVector, RewardParams, nearest_rank_index
 from .errors import BudgetError, DomainError, UnsupportedModelError
-from .incentives import IncentiveModel, PoS, PoW, block_reward, lottery_weights
+from .incentives import IncentiveModel, lottery_weights
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class SimConfig:
     seeds: tuple[int, ...]
     epsilon: float = 0.0
     delta: float = 0.0
-    window: int | None = None
+    window: int = 0  # 0: the final 10% of the horizon
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
@@ -128,13 +128,11 @@ class SimConfig:
             raise DomainError("epsilon must be >= 0 and delta in [0, 100]")
         # the upper end, the horizon, applies where a verdict is computed:
         # at horizon 0 there is none
-        if self.window is not None and self.window < 1:
-            raise DomainError("window must be >= 1")
+        if self.window < 0:
+            raise DomainError("window must be >= 1, or 0 for the final 10% of the horizon")
 
     def effective_window(self) -> int:
-        if self.window is not None:
-            return self.window
-        return max(1, self.horizon // 10)
+        return self.window or max(1, self.horizon // 10)
 
 
 @dataclass(frozen=True)
@@ -178,13 +176,8 @@ def step(
         raise DomainError("every stake must be >= s_b to run the lottery")
     cum = np.add.accumulate(lottery_weights(model, powers))
     winner = int((cum <= rng.random() * cum[-1]).sum())
-    if isinstance(model, PoW):
-        gross = model.b_r - model.c1 * powers[winner] - model.c2
-    elif isinstance(model, PoS):
-        gross = model.b_r - model.c
-    else:
-        gross = block_reward(model, powers.sum())
-    powers[winner] += reward.r * min(max(gross, 0.0), reward.r_max)
+    net = np.asarray(model.net_reward(powers[winner:winner + 1], powers[None])).item(0)
+    powers[winner] += reward.r * min(max(net, 0.0), reward.r_max)
     return PowerVector(tuple(powers))
 
 

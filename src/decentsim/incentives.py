@@ -210,7 +210,10 @@ def utility(model: IncentiveModel, node_index: int, pv: PowerVector) -> float | 
         raise DomainError(f"node index {node_index} out of range for {len(powers)} nodes")
     if powers[node_index] < model.s_b:
         return None
-    u = model.node_utility(node_index, powers, pv.total())
+    try:
+        u = model.node_utility(node_index, powers, pv.total())
+    except OverflowError:  # the powers' fsum, or a power raised to gamma
+        raise DomainError(f"utility of node {node_index} is not finite: overflow") from None
     if not math.isfinite(u):
         raise DomainError(f"utility of node {node_index} is not finite: {u!r}")
     return u

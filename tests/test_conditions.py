@@ -200,6 +200,16 @@ class TestMergeSurvivors:
         assert res.holds
         assert time.perf_counter() - started < 2.0
 
+    def test_shared_owners_nothing_counts(self):
+        # 11 players with 2 nodes each: every player runs a node outside any
+        # distinct-player set, so at m = 3 no merge counts and none is walked
+        pm = PlayerMap(tuple(f"p{i // 2}" for i in range(22)))
+        assert list(conditions._merges(pm, 3)) == []
+        started = time.perf_counter()
+        res = check_nd(PoW(1), PowerVector((1,) * 22), pm, m=3, grid=2, max_nodes=22)
+        assert res.holds
+        assert time.perf_counter() - started < 0.5
+
 
 class TestSplitCondition:
     def test_square_root_lottery_rewards_sybils(self):

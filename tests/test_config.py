@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,8 @@ from decentsim.errors import ConfigError
 # a simulate run without its seeds
 SIMULATE = dict(model="gamma", br=3.0, r_max=3.0, horizon=5, n_nodes=2,
                 init="explicit", init_powers="4,1")
+# a check run without its owners
+CHECK = dict(model="pow", br=1, powers="1,1", m=1)
 # the least positive int that a float cannot hold
 BIG = 2**53 + 1
 
@@ -111,13 +114,26 @@ class TestListKeys:
         assert cfg["seeds"] == (1, 2)
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("seeds", [0.5, 1.7]), ("seeds", [True, 2]), ("init_powers", [True, 2])],
-        ids=["fractional-seeds", "bool-seed", "bool-power"],
+        "subcommand, key, value",
+        [("simulate", "seeds", [0.5, 1.7]), ("simulate", "seeds", [True, 2]),
+         ("simulate", "init_powers", [True, 2]), ("simulate", "init_powers", "1,,2"),
+         ("simulate", "init_powers", "1,2,"), ("check", "owners", "a,,b"),
+         ("check", "owners", ["a", ""])],
+        ids=["fractional-seeds", "bool-seed", "bool-power", "empty-power", "trailing-comma",
+             "empty-owner", "empty-owner-json"],
     )
-    def test_bad_items_named(self, key, value):
-        with pytest.raises(ConfigError, match=f"config key '{key}' expects"):
-            parse_config("simulate", overrides={**SIMULATE, key: value})
+    def test_bad_items_named(self, subcommand, key, value):
+        # the message shows the value as given, not its split items
+        base = {"simulate": SIMULATE, "check": CHECK}[subcommand]
+        with pytest.raises(ConfigError, match=f"config key '{key}' expects .*, got {re.escape(repr(value))}$"):
+            parse_config(subcommand, overrides={**base, key: value})
+
+    @pytest.mark.parametrize(
+        "value, owners", [("", ()), (" a , b", ("a", "b")), (["a ", "b"], ("a", "b"))],
+        ids=["empty", "spaces", "json-list"],
+    )
+    def test_owners_items_are_stripped(self, value, owners):
+        assert parse_config("check", overrides={**CHECK, "owners": value})["owners"] == owners
 
 
 class TestExactInts:
