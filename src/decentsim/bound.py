@@ -273,6 +273,12 @@ def _micro_chunk(params: WalkParams, chunk_index: int, m: int) -> ChunkSums:
     )
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, at least 1."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 def _run_chunks(params: WalkParams) -> list[ChunkSums]:
     """Partial sums of every chunk, in chunk-index order.
 
@@ -283,8 +289,7 @@ def _run_chunks(params: WalkParams) -> list[ChunkSums]:
     sizes = [
         min(CHUNK_SIZE, params.samples - start) for start in range(0, params.samples, CHUNK_SIZE)
     ]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(sizes), cpus or 1)
+    workers = min(len(sizes), usable_cpus())
     if workers > 1:
         # imported here: single-chunk calls never pay for it
         import multiprocessing

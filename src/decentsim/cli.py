@@ -21,8 +21,10 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__
-from .bound import SweepRow, WalkParams, exact_g, real_world_anchors, sweep, u_sensitivity
+from . import __version__, trajectory_writer
+from .bound import (
+    SweepRow, WalkParams, exact_g, real_world_anchors, sweep, u_sensitivity, usable_cpus
+)
 from .conditions import check_all, check_linearity
 from .config import SCHEMAS, WALK_KEYS, RunConfig, echo_values, parse_config
 from .core import PlayerMap, PowerVector, RewardParams
@@ -93,7 +95,10 @@ def _csv_line(fields: list[str]) -> str:
 
 class _TrajectoryCsvWriter:
     """Streams each seed's per-step power ratio and fractions to
-    ``trajectory_<seed>.csv``, one appended block of steps per ``record``."""
+    ``trajectory_<seed>.csv``.  Formatting is left to writer processes
+    running ``trajectory_writer.py`` beside the stepping loop: each
+    ``record`` block goes to them as raw float64 bytes.  The files are dealt
+    round-robin to one writer per usable CPU, at most one per file."""
 
     def __init__(self, out_dir: Path, sim: SimConfig) -> None:
         self.out_dir = out_dir
@@ -101,22 +106,56 @@ class _TrajectoryCsvWriter:
         self.paths = {
             out_dir / f"trajectory_{seed}.csv": row for row, seed in enumerate(sim.seeds)
         }
+        self.n_nodes = sim.n_nodes
         self.delta = sim.delta
-        self.header = _csv_line(["step", "ratio"] + [f"beta_{i + 1}" for i in range(sim.n_nodes)])
+        self.writers: list[tuple[Any, list[Path], list[int]]] = []  # process, files, rows
+
+    def _start(self) -> None:
+        # imported here: runs without CSVs never pay for it
+        import subprocess
+
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        paths = list(self.paths)
+        count = min(usable_cpus(), len(paths))
+        for dealt in (paths[i::count] for i in range(count)):
+            # a session of its own: a Ctrl-C interrupts only this process,
+            # whose close still ends the writers' input
+            process = subprocess.Popen(
+                [sys.executable, "-I", trajectory_writer.__file__, str(self.n_nodes), *dealt],
+                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, start_new_session=True,
+            )
+            self.writers.append((process, dealt, [self.paths[path] for path in dealt]))
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
-        first = t0 == 0
-        if first:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
+        if t0 == 0:
+            self._start()
         table = np.concatenate(
             [_ratios(states, self.delta)[..., None], _fractions(states)], axis=2
         )
-        steps = range(t0, t0 + len(states))
-        for path, row in self.paths.items():
-            text = "".join(_csv_line([str(step), *map(repr, line)])
-                           for step, line in zip(steps, table[:, row].tolist()))
-            with path.open("w" if first else "a", newline="", encoding="utf-8") as handle:
-                handle.write(self.header + text if first else text)
+        head = trajectory_writer.HEAD.pack(t0, len(states))
+        try:
+            for process, _, rows in self.writers:
+                process.stdin.write(head)
+                process.stdin.write(table[:, rows].tobytes())
+                process.stdin.flush()
+        except BrokenPipeError:
+            self.close()  # names the writer that exited
+            raise
+
+    def close(self) -> None:
+        """End the writers' input and wait for them; a writer that exited
+        non-zero becomes an OSError."""
+        writers, self.writers = self.writers, []
+        for process, _, _ in writers:
+            try:
+                process.stdin.close()
+            except BrokenPipeError:
+                pass  # the writer exited; its code tells why
+        codes = [process.wait() for process, _, _ in writers]
+        for code, (_, dealt, _) in zip(codes, writers):
+            if code:
+                names = ", ".join(path.name for path in dealt)
+                raise OSError(f"the trajectory CSV writer of {names} exited with code {code}")
 
 
 def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
@@ -125,7 +164,11 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
     slopes = SlopeAccumulator(n_seeds, sim.horizon) if n_seeds >= MIN_SLOPE_SEEDS else None
     out_dir = _resolve_path(cfg["trajectories_dir"]) if cfg["trajectories_dir"] else None
     csv_writer = _TrajectoryCsvWriter(out_dir, sim) if out_dir is not None else None
-    summary = summarize(sim, [r for r in (slopes, csv_writer) if r is not None])
+    try:
+        summary = summarize(sim, [r for r in (slopes, csv_writer) if r is not None])
+    finally:
+        if csv_writer is not None:
+            csv_writer.close()
     results: dict[str, Any] = {
         "horizon": sim.horizon,
         "n_seeds": n_seeds,

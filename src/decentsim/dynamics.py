@@ -187,8 +187,9 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
     of the winners' indices into the flattened state, one float where the
     net reward depends on neither.  Powers never shrink and grow by at most
     the largest increment per step, so a run whose weights could overflow,
-    or start all at 0, is refused here: its lottery would have no winner.
-    So is one whose net reward could overflow."""
+    or whose largest starts below the smallest normal float, is refused
+    here: its lottery would have no winner, as u · total can round up to a
+    subnormal total.  So is one whose net reward could overflow."""
     model, reward = config.model, config.reward
     if bool(np.any(state < model.s_b)):
         raise DomainError("every stake must be >= s_b to run the lottery")
@@ -198,7 +199,7 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
     high = low + config.horizon * (reward.r * largest)
     with np.errstate(over="ignore", under="ignore"):
         light, heavy = np.array([low, high]) ** exponent
-    if not math.isfinite(state.shape[1] * max(high, heavy)) or light == 0.0:
+    if not math.isfinite(state.shape[1] * max(high, heavy)) or light < np.finfo(float).tiny:
         raise DomainError(
             f"lottery weights leave the float range: powers run from {low!r} up to "
             f"{high!r} and are weighted by exponent {exponent!r}"
@@ -222,7 +223,8 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
         return exponent, lambda index: fixed
 
     def increment(index):
-        return reward.r * np.clip(model.net_reward(flat[index], state), 0.0, reward.r_max)
+        net = model.net_reward(flat[index], state)
+        return reward.r * np.minimum(np.maximum(net, 0.0), reward.r_max)
 
     return exponent, increment
 
@@ -281,7 +283,10 @@ def run_seeds(config: SimConfig, recorders: Sequence[Recorder]) -> np.ndarray:
         uniforms[:block, :, 0] = np.stack([rng.random(block) for rng in rngs], axis=1)
         for draws, won, kept in zip(uniforms[:block], winners, states):
             cum = np.add.accumulate(state**exponent, axis=1)
-            np.add.reduce(cum <= draws * cum[:, -1:], axis=1, out=won)
+            # the first node whose cumulative weight passes the draw: the
+            # count of those at or below it that ``step`` takes, as cum is
+            # non-decreasing and its normal total passes every draw
+            np.argmax(cum > draws * cum[:, -1:], axis=1, out=won)
             np.add(offsets, won, out=index)
             flat[index] += increment(index)
             kept[...] = state

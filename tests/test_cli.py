@@ -420,6 +420,10 @@ class TestSimulateCommand:
         # every weight underflows to 0 from the first step
         ["--model", "gamma", "--br", "1", "--gamma", "400", "--r_max", "1", "--horizon", "5",
          "--n_nodes", "2", "--init", "explicit", "--init_powers", "0.1,0.1"],
+        # a subnormal total: u * total can round up to the total, past every node
+        ["--model", "gamma", "--br", "1", "--gamma", "1", "--r", "0", "--r_max", "1",
+         "--horizon", "3", "--n_nodes", "2", "--init", "explicit", "--init_powers",
+         "1e-323,1e-323"],
     ])
     def test_lottery_weight_overflow_exit_code(self, argv, capsys):
         assert main(["simulate", *argv, "--seeds", "1"]) == 3
@@ -823,7 +827,10 @@ class TestStreamedSimulate:
             "init_count_poor": 7, "horizon": 500, "seeds": [5, 6, 7], "window": 100,
             "epsilon": 1.0, "trajectories_dir": "trajs",
         },
+        # one file, so one writer whatever the CPU count
+        "one-seed-csv": dict(GAMMA5, horizon=700, seeds=[4], trajectories_dir="trajs"),
     }
+    CSV_CASES = sorted(name for name, case in CASES.items() if case.get("trajectories_dir"))
 
     @pytest.mark.parametrize("block", ["default", 1, 7])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -848,6 +855,19 @@ class TestStreamedSimulate:
                 assert json.dumps(again) == json.dumps(results["monotonicity"])
             assert_slope_stats_exact(results.pop("monotonicity"), trajectories)
         assert json.dumps(results, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("cpus", ["one", "more-than-files"])
+    @pytest.mark.parametrize("case", CSV_CASES)
+    def test_csv_bytes_do_not_depend_on_writers(self, case, cpus, tmp_path, monkeypatch):
+        monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
+        cfg = parse_config("simulate", overrides=self.CASES[case])
+        # one writer for every file, or one writer per file
+        count = 1 if cpus == "one" else len(set(cfg["seeds"])) + 1
+        monkeypatch.setattr(cli, "usable_cpus", lambda: count)
+        _, files, _ = reference_simulate(cfg)
+        run(cfg)
+        written = {path.name: path.read_bytes() for path in (tmp_path / "trajs").iterdir()}
+        assert written == files
 
     @pytest.mark.parametrize(
         "n_seeds, with_csv",
@@ -881,6 +901,79 @@ class TestStreamedSimulate:
         # keeping one value per seed and step would add
         # 16384 * len(seeds) * 8 bytes to the longer run's peak
         assert long - short < 32768 * len(seeds)
+
+
+class TestTrajectoryWriters:
+    """No trajectory CSV writer process outlives a simulate run."""
+
+    ARGV = ["simulate", "--model", "pow", "--br", "1", "--r_max", "1", "--n_nodes", "2",
+            "--init", "explicit", "--init_powers", "1,2", "--seeds", "1,2,3"]
+
+    def test_none_outlives_a_run(self, tmp_path, monkeypatch, capfd):
+        started = []
+
+        class SpyPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", SpyPopen)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        # the writer of trajectory_2.csv cannot open it; files 1 and 3 go
+        # to the other writer
+        (tmp_path / "blocked" / "trajectory_2.csv").mkdir(parents=True)
+        codes = [
+            main(self.ARGV + ["--horizon", "600", "--trajectories_dir", str(tmp_path / name)])
+            for name in ("written", "file/trajs", "blocked")
+        ]
+        err = capfd.readouterr().err
+        assert codes == [0, 2, 2]
+        # the run under a regular file stops before any writer starts
+        assert len(started) == 4
+        assert all(process.returncode is not None for process in started)
+        assert "Traceback" not in err
+        assert "IsADirectoryError: " in err
+        assert err.endswith(
+            "OSError: the trajectory CSV writer of trajectory_2.csv exited with code 1\n"
+        )
+        assert [len(path.read_bytes().splitlines()) for path in
+                sorted((tmp_path / "written").iterdir())] == [602] * 3
+
+    @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
+                        reason="lists processes through /proc")
+    def test_none_outlives_a_killed_run(self, tmp_path):
+        out_dir = tmp_path / "trajs"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "decentsim.cli", *self.ARGV, "--horizon", "1000000",
+             "--trajectories_dir", str(out_dir)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+        def writers():
+            """Running processes other than the CLI that name its output."""
+            found = []
+            for entry in Path("/proc").iterdir():
+                with contextlib.suppress(OSError):
+                    if entry.name.isdigit() and entry.name != str(process.pid) and str(
+                        out_dir
+                    ).encode() in (entry / "cmdline").read_bytes():
+                        found.append(entry.name)
+            return found
+
+        deadline = time.monotonic() + 60
+        try:
+            # killed once every writer is running
+            while len(writers()) < min(bound.usable_cpus(), 3) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            process.kill()
+        assert process.wait(timeout=60) == -9
+        assert time.monotonic() < deadline
+        while writers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert writers() == []
 
 
 class TestOutputDirEnv:
