@@ -119,7 +119,7 @@ class _TrajectoryCsvWriter:
         count = min(usable_cpus(), len(paths))
         for dealt in (paths[i::count] for i in range(count)):
             # a session of its own: a Ctrl-C interrupts only this process,
-            # whose close still ends the writers' input
+            # whose close then kills the writers
             process = subprocess.Popen(
                 [sys.executable, "-I", trajectory_writer.__file__, str(self.n_nodes), *dealt],
                 stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, start_new_session=True,
@@ -132,7 +132,7 @@ class _TrajectoryCsvWriter:
         table = np.concatenate(
             [_ratios(states, self.delta)[..., None], _fractions(states)], axis=2
         )
-        head = trajectory_writer.HEAD.pack(t0, len(states))
+        head = trajectory_writer.HEAD.pack(len(states))
         try:
             for process, _, rows in self.writers:
                 process.stdin.write(head)
@@ -142,18 +142,22 @@ class _TrajectoryCsvWriter:
             self.close()  # names the writer that exited
             raise
 
-    def close(self) -> None:
-        """End the writers' input and wait for them; a writer that exited
-        non-zero becomes an OSError."""
+    def close(self, failed: bool = False) -> None:
+        """End the writers' input and wait for them.  After a run that
+        completed, a writer that exited non-zero becomes an OSError; after
+        one that failed, whose last block a writer may hold only part of,
+        the writers are killed instead, so the run's own error stands."""
         writers, self.writers = self.writers, []
         for process, _, _ in writers:
+            if failed:
+                process.kill()
             try:
                 process.stdin.close()
             except BrokenPipeError:
                 pass  # the writer exited; its code tells why
         codes = [process.wait() for process, _, _ in writers]
         for code, (_, dealt, _) in zip(codes, writers):
-            if code:
+            if code and not failed:
                 names = ", ".join(path.name for path in dealt)
                 raise OSError(f"the trajectory CSV writer of {names} exited with code {code}")
 
@@ -166,9 +170,13 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
     csv_writer = _TrajectoryCsvWriter(out_dir, sim) if out_dir is not None else None
     try:
         summary = summarize(sim, [r for r in (slopes, csv_writer) if r is not None])
-    finally:
+    except BaseException:
+        # e.g. a KeyboardInterrupt while a block was half sent
         if csv_writer is not None:
-            csv_writer.close()
+            csv_writer.close(failed=True)
+        raise
+    if csv_writer is not None:
+        csv_writer.close()
     results: dict[str, Any] = {
         "horizon": sim.horizon,
         "n_seeds": n_seeds,

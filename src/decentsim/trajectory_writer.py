@@ -3,56 +3,58 @@ to it and appends them to its CSV files, beside the stepping loop.
 
 Usage: python -I trajectory_writer.py N_NODES PATH [PATH ...]
 
-Standard input holds blocks.  Each is a ``HEAD`` pair (t0, steps) of
-native 64-bit ints, then steps rows of native float64 values, each row
-holding one record per PATH in order: the power ratio, then the N_NODES
-fractions.  A record becomes the line ``step,repr(ratio),repr(beta_1),...``
-ended by CRLF, the first after a ``step,ratio,beta_1,...`` header line.
-The script exits 0 at the end of its input; on an OSError, or input that
-ends inside a block, it prints one line to stderr and exits 1.  It
-imports only the standard library, so that it starts in milliseconds.
+The script first writes a ``step,ratio,beta_1,...`` header line to each
+PATH.  Standard input then holds blocks.  Each is a ``HEAD`` count of
+steps, a native 64-bit int, then that many rows of native float64
+values, each row holding one record per PATH in order: the power ratio,
+then the N_NODES fractions.  A record becomes the line
+``step,repr(ratio),repr(beta_1),...`` ended by CRLF, its steps numbered
+from 0 across blocks.  Each block is read whole before it is formatted,
+so the sender goes on while this script formats; each PATH is opened
+once per block, appended to and closed, so no more than one is open at
+a time.  The script exits 0 at the end of its input; on an OSError, or
+input that ends inside a block, it prints one line to stderr and exits 1.
+It imports only the standard library, so that it starts in milliseconds.
 """
 
 import sys
-from array import array
 from struct import Struct
 
-HEAD = Struct("qq")
+HEAD = Struct("q")
 TRUNCATED = "input ends inside a block"
-# floats formatted at a time, rounded down to whole steps but at least one:
-# it bounds the strings held
+# floats of one file formatted at a time, rounded down to whole steps but
+# at least one: it bounds the strings held
 CHUNK_FLOATS = 2**14
 
 
 def write_blocks(n_nodes: int, paths: list[str]) -> None:
     width = n_nodes + 1
-    header = ",".join(["step", "ratio"] + [f"beta_{i + 1}" for i in range(n_nodes)]) + "\r\n"
     stride = len(paths) * width
-    chunk = stride * max(1, CHUNK_FLOATS // stride)
+    chunk = max(1, CHUNK_FLOATS // width)
+    header = ",".join(["step", "ratio"] + [f"beta_{i + 1}" for i in range(n_nodes)]) + "\r\n"
+    for path in paths:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(header)
     stdin = sys.stdin.buffer
-    handles = []
-    try:
-        for path in paths:
-            handles.append(open(path, "w", encoding="utf-8", newline=""))
-            handles[-1].write(header)
-        while head := stdin.read(HEAD.size):
-            if len(head) < HEAD.size:
-                raise EOFError(TRUNCATED)
-            t0, steps = HEAD.unpack(head)
-            data = stdin.read(steps * stride * 8)
-            if len(data) < steps * stride * 8:
-                raise EOFError(TRUNCATED)
-            values = array("d", data)
-            for start in range(0, len(values), chunk):
-                # one repr per float, then one joined row per record
-                reps = list(map(repr, values[start:start + chunk].tolist()))
-                rows = [",".join(reps[at:at + width]) for at in range(0, len(reps), width)]
-                for offset, handle in enumerate(handles):
-                    numbered = enumerate(rows[offset::len(handles)], t0 + start // stride)
-                    handle.write("".join([f"{step},{row}\r\n" for step, row in numbered]))
-    finally:
-        for handle in handles:
-            handle.close()
+    step = 0
+    while head := stdin.read(HEAD.size):
+        if len(head) < HEAD.size:
+            raise EOFError(TRUNCATED)
+        (steps,) = HEAD.unpack(head)
+        data = stdin.read(steps * stride * 8)
+        if len(data) < steps * stride * 8:
+            raise EOFError(TRUNCATED)
+        values = memoryview(data).cast("d")
+        for offset, path in zip(range(0, stride, width), paths):
+            with open(path, "a", encoding="utf-8", newline="") as handle:
+                for first in range(0, steps, chunk):
+                    starts = range(first * stride + offset, min(first + chunk, steps) * stride,
+                                   stride)
+                    handle.write("".join([
+                        f"{n},{','.join(map(repr, values[start:start + width]))}\r\n"
+                        for n, start in enumerate(starts, step + first)
+                    ]))
+        step += steps
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -940,15 +941,43 @@ class TestTrajectoryWriters:
         assert [len(path.read_bytes().splitlines()) for path in
                 sorted((tmp_path / "written").iterdir())] == [602] * 3
 
+    @pytest.mark.skipif(sys.platform == "win32", reason="sets RLIMIT_NOFILE")
+    def test_more_files_than_descriptors(self, tmp_path):
+        # one writer holds every file, under a descriptor limit below the
+        # file count: it opens them one at a time
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": "pow", "br": 1.0, "r_max": 1.0, "n_nodes": 2, "init": "explicit",
+            "init_powers": [1.0, 2.0], "horizon": 1, "seeds": list(range(100)),
+            "trajectories_dir": str(tmp_path / "trajs"),
+        }), encoding="utf-8")
+        _, files, _ = reference_simulate(parse_config("simulate", file=config))
+        script = (
+            "import resource, sys; from decentsim import cli; "
+            "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]; "
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard)); "
+            "cli.usable_cpus = lambda: 1; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--config", str(config)], check=True,
+            stdout=subprocess.DEVNULL, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        written = {path.name: path.read_bytes() for path in (tmp_path / "trajs").iterdir()}
+        assert written == files
+
     @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
                         reason="lists processes through /proc")
-    def test_none_outlives_a_killed_run(self, tmp_path):
+    @pytest.mark.parametrize("stop", [signal.SIGKILL, signal.SIGINT], ids=["kill", "interrupt"])
+    def test_none_outlives_a_stopped_run(self, stop, tmp_path):
+        # blocks of 1 MB per writer, more than a pipe holds, so that the
+        # signal most likely lands while a block is half sent
         out_dir = tmp_path / "trajs"
         process = subprocess.Popen(
-            [sys.executable, "-m", "decentsim.cli", *self.ARGV, "--horizon", "1000000",
-             "--trajectories_dir", str(out_dir)],
+            [sys.executable, "-m", "decentsim.cli", "simulate", "--model", "pow", "--br", "1",
+             "--r_max", "1", "--n_nodes", "50", "--init", "power-law", "--horizon", "1000000",
+             "--seeds", ",".join(map(str, range(1, 21))), "--trajectories_dir", str(out_dir)],
             env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         )
 
         def writers():
@@ -962,15 +991,22 @@ class TestTrajectoryWriters:
                         found.append(entry.name)
             return found
 
+        first = out_dir / "trajectory_1.csv"
         deadline = time.monotonic() + 60
         try:
-            # killed once every writer is running
-            while len(writers()) < min(bound.usable_cpus(), 3) and time.monotonic() < deadline:
+            # stopped once every writer is running and has written rows
+            while (len(writers()) < min(bound.usable_cpus(), 20) or not first.exists()
+                   or first.stat().st_size < 2**16) and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
-            process.kill()
-        assert process.wait(timeout=60) == -9
+            process.send_signal(stop)
+        _, err = process.communicate(timeout=60)
+        assert process.returncode == -stop
         assert time.monotonic() < deadline
+        if stop == signal.SIGINT:
+            # the CLI's own interrupt, not a writer's error
+            assert err.decode().endswith("KeyboardInterrupt\n")
+            assert b"OSError" not in err and b"EOFError" not in err
         while writers() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert writers() == []
