@@ -1,7 +1,11 @@
 """Concrete utility and reward families plus multi-node cost models.
 
 Every model exposes an expected net profit per time unit through
-``utility``, from the per-node formula the model class carries.  The
+``utility``, from the per-node formula the model class carries.  A model
+whose formula reads something of all nodes at once (the lottery weights'
+sum, the elected set) computes it as its ``aggregate``, and can prepare it
+for nodes placed ahead of a fixed context, which ``parts_scorer`` uses to
+score many sets of nodes against one context.  The
 lottery families (work-weighted, stake-weighted and the exponent-weighted
 family) also carry what the simulator needs to draw one block winner per
 time unit: the weight exponent and the winner's net reward.  ``MODELS``
@@ -12,6 +16,7 @@ names every family and, through each class's ``KEYS``, its config keys;
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +32,15 @@ class _Model:
 
     s_b = 0.0
     LOTTERY = False
+
+    def aggregate(self, powers: tuple[float, ...]):
+        """What the formula reads of all the given nodes at once."""
+        return None
+
+    def aggregator(self, context: tuple[float, ...]) -> Callable[[tuple[float, ...]], object]:
+        """``aggregate`` of parts placed ahead of the context, as a function
+        of the parts, or None where the formula reads no aggregate."""
+        return None
 
     def notes(self, powers: Sequence[float]) -> tuple[str, ...]:
         """Remarks a condition report on these powers carries."""
@@ -68,7 +82,7 @@ class PoW(_Lottery):
     def __post_init__(self) -> None:
         _check_nonneg(b_r=self.b_r, c1=self.c1, c2=self.c2)
 
-    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float, aggregate) -> float:
         return self.b_r * powers[index] / total - self.c1 * powers[index] - self.c2
 
     def net_reward(self, powers: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -91,7 +105,7 @@ class PoS(_Lottery):
     def __post_init__(self) -> None:
         _check_nonneg(b_r=self.b_r, c=self.c, s_b=self.s_b)
 
-    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float, aggregate) -> float:
         return self.b_r * powers[index] / total - self.c
 
     def max_net_reward(self) -> float:
@@ -116,10 +130,26 @@ class DPoS(_Model):
         if self.n_dpos < 1:
             raise DomainError("n_dpos must be a positive integer")
 
-    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float, elected) -> float:
+        return (self.b_r - self.c) if index in elected else -self.c
+
+    def aggregate(self, powers: tuple[float, ...]) -> list[int]:
+        """The elected nodes' indices."""
         # stable sort keeps the lower index on ties
         order = sorted(range(len(powers)), key=lambda i: -powers[i])
-        return (self.b_r - self.c) if index in order[: self.n_dpos] else -self.c
+        return order[: self.n_dpos]
+
+    def aggregator(self, context: tuple[float, ...]) -> Callable[[tuple[float, ...]], set[int]]:
+        ranked = sorted(context)
+
+        def elected(parts: tuple[float, ...]) -> set[int]:
+            # a part ranks behind every larger node and every equal part
+            # before it; equal context nodes come after it
+            return {j for j, p in enumerate(parts)
+                    if len(ranked) - bisect_right(ranked, p)
+                    + sum(q > p or (q == p and i < j) for i, q in enumerate(parts)) < self.n_dpos}
+
+        return elected
 
 
 @dataclass(frozen=True)
@@ -143,9 +173,18 @@ class GammaReward(_Lottery):
     def block_reward(self, total_power: float) -> float:
         return self.b_r if self.b_r_fn is None else float(self.b_r_fn(total_power))
 
-    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
-        weights = [p**self.gamma for p in powers]
-        return self.block_reward(total) * weights[index] / math.fsum(weights)
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float,
+                     weight_sum: float) -> float:
+        return self.block_reward(total) * powers[index]**self.gamma / weight_sum
+
+    def aggregate(self, powers: tuple[float, ...]) -> float:
+        """The lottery weights' sum."""
+        return math.fsum([p**self.gamma for p in powers])
+
+    def aggregator(self, context: tuple[float, ...]) -> Callable[[tuple[float, ...]], float]:
+        gamma = self.gamma
+        weights = [p**gamma for p in context]
+        return lambda parts: math.fsum([*[p**gamma for p in parts], *weights])
 
     def weight_exponent(self) -> float:
         return self.gamma
@@ -177,7 +216,7 @@ class Linear(_Model):
         if not self.k > 0:
             raise DomainError("linear coefficient k must be > 0")
 
-    def node_utility(self, index: int, powers: tuple[float, ...], total: float) -> float:
+    def node_utility(self, index: int, powers: tuple[float, ...], total: float, aggregate) -> float:
         return (self.k if self.kind == "constant" else self.k / total) * powers[index]
 
     def notes(self, powers: Sequence[float]) -> tuple[str, ...]:
@@ -211,12 +250,16 @@ def utility(model: IncentiveModel, node_index: int, pv: PowerVector) -> float | 
     if powers[node_index] < model.s_b:
         return None
     try:
-        u = model.node_utility(node_index, powers, pv.total())
+        u = model.node_utility(node_index, powers, pv.total(), model.aggregate(powers))
     except OverflowError:  # the powers' fsum, or a power raised to gamma
-        raise DomainError(f"utility of node {node_index} is not finite: overflow") from None
+        raise _not_finite(node_index, "overflow") from None
     if not math.isfinite(u):
-        raise DomainError(f"utility of node {node_index} is not finite: {u!r}")
+        raise _not_finite(node_index, repr(u))
     return u
+
+
+def _not_finite(node_index: int, value: str) -> DomainError:
+    return DomainError(f"utility of node {node_index} is not finite: {value}")
 
 
 def realized_utility(model: IncentiveModel, node_index: int, pv: PowerVector) -> float:
@@ -225,11 +268,65 @@ def realized_utility(model: IncentiveModel, node_index: int, pv: PowerVector) ->
     return 0.0 if u is None else u
 
 
-def parts_utility(model: IncentiveModel, parts: Sequence[float], context: Sequence[float]) -> float:
-    """Summed realized utility of nodes of the given powers placed ahead of
-    the context's nodes."""
-    state = PowerVector((*parts, *context))
-    return math.fsum(realized_utility(model, j, state) for j in range(len(parts)))
+Scorer = Callable[[tuple[float, ...]], float]
+
+
+def parts_scorer(model: IncentiveModel, context: Sequence[float]) -> Scorer:
+    """The summed realized utility of nodes of the given float powers placed
+    ahead of the context's nodes, as a function of those powers, with the
+    context checked and its share of the model's aggregate prepared once.
+
+    Each call checks the parts as ``PowerVector`` does, takes one total and
+    one aggregate of parts and context, then applies ``utility``'s rules per
+    part: below s_b it earns 0, and an overflow or a non-finite utility
+    raises the same DomainError for the same node.  ``math.fsum`` is
+    correctly rounded, so these sums have the bits of ``utility``'s sums
+    over the same nodes in a different order.
+    """
+    context = tuple(context)
+    valid = all(0.0 < p < math.inf for p in context)
+    aggregate_of = None
+    if valid:
+        context = tuple(float(p) for p in context)
+        try:
+            aggregate_of = model.aggregator(context)
+        except OverflowError:  # a context weight; raised for the first part that runs
+            aggregate_of = _raise_overflow
+    s_b, node_utility = model.s_b, model.node_utility
+
+    def score(parts: tuple[float, ...]) -> float:
+        # where this quick check fails (a NaN or an infinity fails the sum's
+        # bound), the state's own check decides; empty parts ahead of a
+        # valid context earn 0
+        if not (valid and parts and 0.0 < min(parts) and sum(parts) < math.inf):
+            PowerVector((*parts, *context))
+            if not parts:
+                return 0.0
+        try:
+            total = math.fsum((*parts, *context))
+            aggregate = aggregate_of(parts) if aggregate_of else None
+        except OverflowError:
+            total = None
+        utilities = []
+        for j, p in enumerate(parts):
+            if p < s_b:
+                continue  # cannot run, earns 0
+            if total is None:
+                raise _not_finite(j, "overflow")
+            try:
+                u = node_utility(j, parts, total, aggregate)
+            except OverflowError:
+                raise _not_finite(j, "overflow") from None
+            if not math.isfinite(u):
+                raise _not_finite(j, repr(u))
+            utilities.append(u)
+        return math.fsum(utilities)
+
+    return score
+
+
+def _raise_overflow(parts: tuple[float, ...]):
+    raise OverflowError
 
 
 def lottery_weights(model: IncentiveModel, powers: np.ndarray) -> np.ndarray:
@@ -249,7 +346,7 @@ class ZeroSybilCost:
 
     KEYS = {}
 
-    def cost(self, model: IncentiveModel, parts: list[float], context: Sequence[float]) -> float:
+    def cost(self, score: Scorer, parts: tuple[float, ...]) -> float:
         return 0.0
 
 
@@ -267,11 +364,11 @@ class ThresholdCoverSybilCost:
     def __post_init__(self) -> None:
         _check_nonneg(margin=self.margin)
 
-    def cost(self, model: IncentiveModel, parts: list[float], context: Sequence[float]) -> float:
-        """The utility of the split set and of the merged single node
-        against the same context."""
-        merged = parts_utility(model, (math.fsum(parts),), context)
-        return max(0.0, parts_utility(model, parts, context) - merged) + self.margin
+    def cost(self, score: Scorer, parts: tuple[float, ...]) -> float:
+        """The utility of the split set and of the merged single node, each
+        scored by ``score`` against the same context."""
+        merged = score((math.fsum(parts),))
+        return max(0.0, score(parts) - merged) + self.margin
 
 
 SybilCostModel = ZeroSybilCost | ThresholdCoverSybilCost
@@ -289,9 +386,9 @@ def sybil_cost(
     ``context`` holds the other players' node powers.  A single-node set
     always costs 0; a larger one costs what the cost model's formula says.
     """
-    parts = [float(p) for p in node_powers_of_player]
+    parts = tuple(float(p) for p in node_powers_of_player)
     if not parts:
         raise DomainError("player must run at least one node")
     if len(parts) == 1:
         return 0.0
-    return cost_model.cost(incentive, parts, context)
+    return cost_model.cost(parts_scorer(incentive, context), parts)

@@ -154,7 +154,65 @@ def walked_merges(pm, m):
                         break
 
 
+def combinations_merges(pm, m):
+    """The merge walk ``conditions._merges`` replaces: every node set in
+    ``combinations`` order, kept if its owners are distinct and it leaves out
+    at most m - 1 - (multi-node players) one-node players."""
+    nodes = {owner: pm.owners.count(owner) for owner in pm.owners}
+    players = len(nodes)
+    if list(nodes.values()).count(1) < players + 1 - m:
+        return
+    for size in range(max(2, players + 2 - m), players + 1):
+        for subset in combinations(range(len(pm)), size):
+            owners = [pm.owners[i] for i in subset]
+            if len(set(owners)) != len(owners):
+                continue
+            alone = [i for i, owner in zip(subset, owners) if nodes[owner] == 1]
+            room = m - 1 - (players - len(alone))
+            if room < 0:
+                continue
+            barred = alone[room:]
+            may_survive = [i for i in subset if i not in barred]
+            for surv_size in range(1, min(size, len(may_survive) + 1)):
+                yield subset, tuple(may_survive[:surv_size])
+
+
+def one_and_multi_node_players(alone, multi, nodes_each):
+    multi_owners = [f"M{j}" for j in range(multi) for _ in range(nodes_each)]
+    return PlayerMap(tuple([f"s{i}" for i in range(alone)] + multi_owners))
+
+
 class TestMergeSurvivors:
+    def test_walk_matches_combinations(self):
+        # shared owners: n nodes among 1 to n players, every m that can count
+        for seed in range(150):
+            rng = random.Random(f"merge-walk/{seed}")
+            n = rng.randint(2, 11)
+            players_count = rng.randint(1, n)
+            pm = PlayerMap(tuple(f"p{rng.randrange(players_count)}" for _ in range(n)))
+            for m in range(1, n + 3):
+                assert list(conditions._merges(pm, m)) == list(combinations_merges(pm, m))
+
+    def test_many_one_node_players_beside_shared_owners(self):
+        # 18 one-node players and two 10-node players at m = 3: a set that
+        # counts holds all 18 one-node players and one node of either or
+        # both others, 20 sets of 19 nodes with 1 survivor count and 100 of
+        # 20 with 2, where combinations walk about 6.9e10 node sets
+        pm = one_and_multi_node_players(18, 2, 10)
+        started = time.perf_counter()
+        assert sum(1 for _ in conditions._merges(pm, 3)) == 20 + 100 * 2
+        assert time.perf_counter() - started < 0.5
+
+    @pytest.mark.parametrize(
+        "alone, multi, nodes_each, m", [(18, 2, 10, 3), (10, 4, 5, 5), (12, 5, 4, 6)]
+    )
+    def test_shared_owner_search(self, alone, multi, nodes_each, m):
+        pm = one_and_multi_node_players(alone, multi, nodes_each)
+        started = time.perf_counter()
+        res = check_nd(PoW(1), PowerVector((1,) * len(pm)), pm, m=m, grid=2, max_nodes=len(pm))
+        assert res.holds  # pro-rata rewards at no cost: no merge gains
+        assert time.perf_counter() - started < 3.0
+
     @pytest.mark.parametrize("seed", range(40))
     def test_closed_form_matches_the_walk(self, seed):
         # shared owners: n nodes among 1 to n players
@@ -545,10 +603,16 @@ class TestSearchBound:
 
     @pytest.mark.parametrize("what, search", CASES, ids=[c[0] for c in CASES])
     def test_refused_before_any_utility_call(self, what, search, monkeypatch):
+        # neither a single node's utility, nor a scorer's preparation or call,
+        # nor any model's formula may run before the count
         def no_call(*args):
             raise AssertionError("utility called before the search was counted")
 
         monkeypatch.setattr(incentives, "utility", no_call)
+        monkeypatch.setattr(incentives, "parts_scorer", no_call)
+        monkeypatch.setattr(conditions, "parts_scorer", no_call)
+        for model in incentives.MODELS.values():
+            monkeypatch.setattr(model, "node_utility", no_call)
         started = time.perf_counter()
         with pytest.raises(SearchBoundError, match=f"bound of {conditions.MAX_ALLOCATIONS}"):
             search(10**12)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from decentsim.core import PowerVector, RewardParams
 from decentsim.dynamics import ExplicitInit, SimConfig, run_seeds
@@ -16,6 +16,7 @@ from decentsim.incentives import (
     ThresholdCoverSybilCost,
     ZeroSybilCost,
     lottery_weights,
+    parts_scorer,
     realized_utility,
     sybil_cost,
     utility,
@@ -190,6 +191,87 @@ class TestLotteryDraws:
             rewards = model.b_r * (winners == i) - cost
             se = rewards.std(ddof=1) / math.sqrt(rewards.size)
             assert abs(rewards.mean() - utility(model, i, pv)) <= 4 * se
+
+
+def seesaw_reward(total):
+    return 6.0 / (1.0 + total)
+
+
+def outcome(call):
+    """A float's exact bits, or the error type and message."""
+    try:
+        return ("value", call().hex())
+    except (ArithmeticError, DomainError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def reference_parts_utility(model, parts, context):
+    """Per-part realized utility in the state of parts and context, built
+    first, so that empty parts ahead of an empty context raise as well."""
+    state = PowerVector(parts + context)
+    return math.fsum(realized_utility(model, j, state) for j in range(len(parts)))
+
+
+SCORER_MODELS = (
+    PoW(12.5, 0.3, 1.0),
+    PoS(10.0, 1.0, s_b=1.5),
+    DPoS(5.0, 1.0, n_dpos=1),
+    DPoS(5.0, 0.0, n_dpos=2),
+    DPoS(5.0, 1.0, n_dpos=3),
+    GammaReward(3.0, 0.5),
+    GammaReward(3.0, 1.5, b_r_fn=seesaw_reward),
+    GammaReward(3.0, 3.0),
+    Linear("constant", 2.0),
+    Linear("inverse-total", 2.0),
+)
+# mostly ties (DPoS elections at the n_dpos boundary, PoS stakes at s_b) and
+# ordinary powers, some below s_b; then powers whose cube, weight sum or total
+# overflows or underflows, and invalid powers
+ORDINARY_POWER = st.one_of(st.sampled_from((1.0, 1.5, 2.0, 3.0)), st.floats(0.05, 20.0))
+SCORER_POWER = st.one_of(
+    *[ORDINARY_POWER] * 8,
+    st.sampled_from((1e-200, 1e103, 1e200, 1e308)),
+    st.sampled_from((0.0, -1.0, math.inf, math.nan)),
+)
+
+
+class TestPartsScorer:
+    """One scorer prepared per context gives, bit for bit and error for error,
+    the summed realized utility of the parts ahead of that context."""
+
+    @pytest.mark.parametrize("model", SCORER_MODELS, ids=repr)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        context=st.lists(SCORER_POWER, max_size=4),
+        splits=st.lists(st.lists(SCORER_POWER, max_size=4), min_size=1, max_size=3),
+    )
+    def test_matches_realized_utility(self, model, context, splits):
+        score = parts_scorer(model, context)
+        for parts in map(tuple, splits):
+            expected = outcome(lambda: reference_parts_utility(model, parts, tuple(context)))
+            assert outcome(lambda: score(parts)) == expected
+
+    @pytest.mark.parametrize(
+        "model, parts, context, node",
+        [
+            (GammaReward(3.0, 3.0), (1e200,), (), 0),  # a part's weight
+            (GammaReward(3.0, 3.0), (1.0, 2.0), (1e200,), 0),  # a context weight
+            (GammaReward(3.0, 2.0), (1e154, 1e154), (1e154,), 0),  # the weight sum
+            (PoW(12.5), (1e308,), (1e308,), 0),  # the total
+            (PoS(10.0, 1.0, s_b=2.0), (1.0, 1e308), (1e308,), 1),  # node 0 cannot run
+        ],
+    )
+    def test_overflow_names_the_node(self, model, parts, context, node):
+        message = f"utility of node {node} is not finite: overflow"
+        for call in (lambda: parts_scorer(model, context)(parts),
+                     lambda: reference_parts_utility(model, parts, context)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call()
+
+    def test_parts_that_cannot_run_earn_zero_without_a_total(self):
+        # the total overflows, but no part reaches the formula
+        model = PoS(10.0, 1.0, s_b=2.0)
+        assert parts_scorer(model, (1e308, 1e308))((1.0, 1.5)) == 0.0
 
 
 class TestSybilCost:
