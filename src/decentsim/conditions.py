@@ -15,6 +15,7 @@ limit statement about the power dynamics and is delegated to the simulator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, groupby, islice
@@ -182,28 +183,50 @@ def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int,
         return
     n = len(pm)
     alone_from = list(accumulate(reversed(alone), initial=0))[::-1]  # one-node players in i..
-    owners_from = [set(owners[i:]) for i in range(n + 1)]
+    last = {owner: i for i, owner in enumerate(owners)}
+    # distinct owners in i..: each counted at its last node
+    owners_from = list(accumulate((last[owners[i]] == i for i in reversed(range(n))),
+                                  initial=0))[::-1]
 
-    def sets(start: int, size: int, used: frozenset, left_out: int) -> Iterator[tuple[int, ...]]:
-        # of the one-node players from start on, all but spare - left_out must join
-        if alone_from[start] - (spare - left_out) > size:
+    def sets(size: int) -> Iterator[tuple[int, ...]]:
+        # one frame per chosen node on an explicit stack, so sets of any size
+        # walk at a fixed Python stack depth
+        if alone_from[0] - spare > size:
             return
-        if size == 0:
-            yield ()
-            return
-        for i in range(start, n):
-            if left_out > spare or len(owners_from[i] - used) < size:
-                return
-            if owners[i] not in used:
-                for rest in sets(i + 1, size - 1, used | {owners[i]}, left_out):
-                    yield (i, *rest)
-            left_out += alone[i]
+        chosen: list[int] = []
+        used: set[str] = set()
+        ends: list[int] = []  # sorted last nodes of the used owners
+        frames = [[0, 0]]  # per depth: next node to try, one-node players left out
+        while frames:
+            frame = frames[-1]
+            i, left_out = frame
+            need = size - len(chosen)
+            unused = owners_from[i] - (len(ends) - bisect_left(ends, i))  # owners free in i..
+            if left_out > spare or unused < need:
+                frames.pop()
+                if chosen:
+                    owner = owners[chosen.pop()]
+                    used.remove(owner)
+                    ends.remove(last[owner])
+                continue
+            frame[0], frame[1] = i + 1, left_out + alone[i]
+            owner = owners[i]
+            # of the one-node players after i, all but spare - left_out must join
+            if owner in used or alone_from[i + 1] - (spare - left_out) > need - 1:
+                continue
+            if need == 1:
+                yield (*chosen, i)
+                continue
+            chosen.append(i)
+            used.add(owner)
+            insort(ends, last[owner])
+            frames.append([i + 1, left_out])
 
     for size in range(max(2, players + 2 - m), players + 1):
-        for subset in sets(0, size, frozenset(), 0):
+        for subset in sets(size):
             lone = [i for i in subset if alone[i]]
             room = m - 1 - (players - len(lone))  # players - |lone| run a node outside
-            barred = lone[room:]
+            barred = set(lone[room:])
             may_survive = [i for i in subset if i not in barred]
             for surv_size in range(1, min(size, len(may_survive) + 1)):
                 yield subset, tuple(may_survive[:surv_size])
@@ -255,7 +278,8 @@ def check_nd(
     for subset, pairs in groupby(_merges(pm, m), key=itemgetter(0)):
         separate = math.fsum(own(i) for i in subset)
         pool = math.fsum(pv.powers[i] for i in subset)
-        score = parts_scorer(model, (pv.powers[i] for i in range(n) if i not in subset))
+        inside = set(subset)
+        score = parts_scorer(model, (pv.powers[i] for i in range(n) if i not in inside))
         for _, survivors in pairs:
             found = _best_split(score, pool, len(survivors), grid, separate, lambda _: 0.0)
             if found is not None and (best is None or found[0] > best.gain):

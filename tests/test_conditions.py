@@ -203,6 +203,14 @@ class TestMergeSurvivors:
         assert sum(1 for _ in conditions._merges(pm, 3)) == 20 + 100 * 2
         assert time.perf_counter() - started < 0.5
 
+    def test_set_larger_than_the_recursion_limit(self):
+        # at m = 2 the one set that counts holds every one of the 1500
+        # one-node players, one frame per node deeper than Python's stack
+        pm = players(1500)
+        assert list(conditions._merges(pm, 2)) == [(tuple(range(1500)), (0,))]
+        res = check_nd(PoW(1), PowerVector((1,) * 1500), pm, m=2, grid=2, max_nodes=1500)
+        assert res.holds
+
     @pytest.mark.parametrize(
         "alone, multi, nodes_each, m", [(18, 2, 10, 3), (10, 4, 5, 5), (12, 5, 4, 6)]
     )
