@@ -175,6 +175,8 @@ class GammaReward(_Lottery):
 
     def node_utility(self, index: int, powers: tuple[float, ...], total: float,
                      weight_sum: float) -> float:
+        if weight_sum == 0:  # every power**gamma underflows
+            raise DomainError(f"utility of node {index} is undefined: lottery weight sum is 0")
         return self.block_reward(total) * powers[index]**self.gamma / weight_sum
 
     def aggregate(self, powers: tuple[float, ...]) -> float:

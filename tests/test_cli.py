@@ -118,6 +118,20 @@ class TestCheckCommand:
         assert code == 3
         assert "DomainError: utility of node 0 is not finite" in capsys.readouterr().err
 
+    def test_zero_weight_sum_exit_code(self):
+        # 1e-100 ** 5 underflows to 0; under -W error a warning would end
+        # in a traceback
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "check", "--model", "gamma",
+             "--br", "3", "--gamma", "5", "--powers", "1e-100,1e-100", "--m", "1"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == (
+            "DomainError: utility of node 0 is undefined: lottery weight sum is 0\n"
+        )
+
     def test_search_bound_exit_code(self, capsys):
         code = main([
             "check", "--model", "pow", "--br", "1", "--powers", "1,1,1,1,1,1,1",
@@ -833,15 +847,29 @@ class TestStreamedSimulate:
     }
     CSV_CASES = sorted(name for name, case in CASES.items() if case.get("trajectories_dir"))
 
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """``reference_simulate`` of a case, computed once per case at the
+        default ``RECORD_BLOCK``; call it before patching anything."""
+        cache = {}
+
+        def of(case):
+            if case not in cache:
+                cfg = parse_config("simulate", overrides=self.CASES[case])
+                cache[case] = reference_simulate(cfg)
+            return cache[case]
+
+        return of
+
     @pytest.mark.parametrize("block", ["default", 1, 7])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_full_trajectory_report(self, case, block, tmp_path, monkeypatch):
+    def test_matches_full_trajectory_report(self, case, block, reference, tmp_path, monkeypatch):
+        expected, files, trajectories = reference(case)
         monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
         default_block = dynamics.RECORD_BLOCK
         if block != "default":
             monkeypatch.setattr(dynamics, "RECORD_BLOCK", block)
         cfg = parse_config("simulate", overrides=self.CASES[case])
-        expected, files, trajectories = reference_simulate(cfg)
         results = run(cfg)["results"]
         if cfg["trajectories_dir"]:
             out_dir = tmp_path / cfg["trajectories_dir"]
@@ -859,13 +887,14 @@ class TestStreamedSimulate:
 
     @pytest.mark.parametrize("cpus", ["one", "more-than-files"])
     @pytest.mark.parametrize("case", CSV_CASES)
-    def test_csv_bytes_do_not_depend_on_writers(self, case, cpus, tmp_path, monkeypatch):
+    def test_csv_bytes_do_not_depend_on_writers(self, case, cpus, reference, tmp_path,
+                                                 monkeypatch):
+        _, files, _ = reference(case)
         monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
         cfg = parse_config("simulate", overrides=self.CASES[case])
         # one writer for every file, or one writer per file
         count = 1 if cpus == "one" else len(set(cfg["seeds"])) + 1
         monkeypatch.setattr(cli, "usable_cpus", lambda: count)
-        _, files, _ = reference_simulate(cfg)
         run(cfg)
         written = {path.name: path.read_bytes() for path in (tmp_path / "trajs").iterdir()}
         assert written == files
@@ -1045,3 +1074,34 @@ class TestDeterminism:
         report = json.loads(capsys.readouterr().out)
         rerun = run(parse_config("bound", overrides=report["config"]))
         assert results_payload_bytes(rerun) == results_payload_bytes(report)
+
+
+class TestImportHeapFreeze:
+    SCRIPT = """
+import gc, weakref
+from decentsim import cli
+imported = len(gc.get_objects())
+assert cli.main(["bound", "--f", "1e-3", "--rho", "0.1"]) == 0
+assert gc.get_freeze_count() >= imported, (gc.get_freeze_count(), imported)
+assert gc.isenabled()
+
+class Node:
+    pass
+
+node = Node()
+node.self = node
+alive = weakref.ref(node)
+del node
+gc.collect()
+assert alive() is None
+"""
+
+    def test_main_freezes_the_import_heap(self):
+        # what the imports built sits in the permanent generation, so exit
+        # does not tear it down; a cycle made after main is still collected
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", self.SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr

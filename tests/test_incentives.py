@@ -268,6 +268,15 @@ class TestPartsScorer:
             with pytest.raises(DomainError, match=f"^{message}$"):
                 call()
 
+    def test_zero_weight_sum_names_the_node(self):
+        # 1e-100 ** 5 underflows to 0, so every lottery weight is 0
+        model = GammaReward(3.0, 5.0)
+        message = "^utility of node 0 is undefined: lottery weight sum is 0$"
+        with pytest.raises(DomainError, match=message):
+            utility(model, 0, PowerVector((1e-100, 1e-100)))
+        with pytest.raises(DomainError, match=message):
+            parts_scorer(model, (1e-100,))((1e-100,))
+
     def test_parts_that_cannot_run_earn_zero_without_a_total(self):
         # the total overflows, but no part reaches the formula
         model = PoS(10.0, 1.0, s_b=2.0)
