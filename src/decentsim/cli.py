@@ -259,9 +259,7 @@ def _run_check(cfg: RunConfig) -> dict[str, Any]:
         model, _build(SYBIL_COSTS, cfg, "sybil"), powers, pm, cfg["m"],
         delta=cfg["delta"], grid=cfg["grid"], max_nodes=cfg["max_nodes"],
     )
-    linearity = check_linearity(
-        model, cfg["linearity_trials"], np.random.default_rng(cfg["seed"])
-    )
+    linearity = check_linearity(model, cfg["linearity_trials"], cfg["seed"])
     out = dataclasses.asdict(rep)
     out["linearity"] = {
         "is_linear": linearity.is_linear,

@@ -15,14 +15,13 @@ limit statement about the power dynamics and is delegated to the simulator.
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate, groupby, islice
 from operator import itemgetter
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .core import PlayerMap, PowerVector, effective_powers, percentile_power
 from .errors import DomainError, SearchBoundError
@@ -329,22 +328,25 @@ def check_ns(
 def check_linearity(
     model: IncentiveModel,
     trials: int,
-    rng: np.random.Generator,
+    seed: int,
     total_power: float = 10.0,
 ) -> LinearityResult:
     """Is utility proportional to power within states of a fixed total?
 
-    Samples random states, each rescaled to the given total power, and
-    measures the spread of utility-per-power across nodes.  A state
-    containing a node that cannot run counts as an unbounded violation.
+    Samples random states of 2 to 5 nodes from ``random.Random(seed)``,
+    each rescaled to the given total power, and measures the spread of
+    utility-per-power across nodes.  A state containing a node that cannot
+    run counts as an unbounded violation.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):
-        n = int(rng.integers(2, 6))
-        raw = rng.random(n) + 0.05
-        powers = tuple(float(x) for x in raw * (total_power / raw.sum()))
+        n = rng.randrange(2, 6)
+        raw = [rng.random() + 0.05 for _ in range(n)]
+        rescale = total_power / math.fsum(raw)
+        powers = tuple(x * rescale for x in raw)
         pv = PowerVector(powers)
         ratios = []
         for i in range(n):

@@ -161,7 +161,7 @@ SCHEMAS: dict[str, list[Key]] = {
         Key("sybil", "str", default="zero", choices=tuple(SYBIL_COSTS)),
         Key("margin", "float", default=0.0),
         Key("linearity_trials", "int", default=64),
-        Key("seed", "int", default=0),
+        Key("seed", "int", default=0, help="seed of the linearity probe's random states"),
     ],
     "anchors": SHARED_KEYS,
 }

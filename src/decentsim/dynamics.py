@@ -368,6 +368,10 @@ def ed_verdict(
     )
 
 
+# bytes of states the window check converts at once
+TAIL_SLICE_BYTES = 2**17
+
+
 class _FinalWindowRecorder:
     """Tracks, per seed, whether the fraction ratio stays at or below
     1 + epsilon through the config's effective window, and the last ratio
@@ -384,8 +388,11 @@ class _FinalWindowRecorder:
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
         tail = states[max(self.first - t0, 0):]
-        if len(tail):
-            ratios = _ratios(_fractions(tail), self.delta)
+        # a few steps at a time: the fractions and their sorted copy stay
+        # small instead of two temporaries the size of the block
+        rows = max(TAIL_SLICE_BYTES // (8 * states.shape[1] * states.shape[2]), 1)
+        for start in range(0, len(tail), rows):
+            ratios = _ratios(_fractions(tail[start : start + rows]), self.delta)
             self.within &= (ratios <= self.limit).all(axis=0)
             self.last = ratios[-1]
 

@@ -18,9 +18,15 @@ from pathlib import Path
 from .errors import DomainError, StructuralError
 
 
+# gini and entropy take the counts as floats, and 2**53 is the largest
+# size at which every integer is an exact float
+MAX_BLOCKS = 2**53
+_TOO_MANY_BLOCKS = f"block counts must be at most 2**53 = {MAX_BLOCKS}, the exact-float limit"
+
+
 @dataclass(frozen=True)
 class ProducerDataset:
-    """Unique addresses with non-negative block counts."""
+    """Unique addresses with block counts in [0, 2**53]."""
 
     entries: tuple[tuple[str, int], ...]
 
@@ -30,6 +36,8 @@ class ProducerDataset:
             raise StructuralError("addresses must be unique")
         if any(blocks < 0 for _, blocks in self.entries):
             raise DomainError("block counts must be non-negative")
+        if any(blocks > MAX_BLOCKS for _, blocks in self.entries):
+            raise DomainError(_TOO_MANY_BLOCKS)
 
     def sorted_entries(self) -> list[tuple[str, int]]:
         """Descending by blocks; ties broken by address, so subset
@@ -66,7 +74,13 @@ def load_producer_csv(path: str | Path) -> ProducerDataset:
                 raise DomainError(
                     f"{path}:{line_no}: blocks must be a base-10 integer, got {raw!r}"
                 )
-            entries.append((address, int(raw)))
+            # int() refuses strings of over 4300 digits, leading zeros included
+            negative, digits = raw[0] == "-", raw.lstrip("-").lstrip("0") or "0"
+            if len(digits) > len(str(MAX_BLOCKS)):
+                raise DomainError(f"{path}:{line_no}: " + (
+                    "block counts must be non-negative" if negative else _TOO_MANY_BLOCKS
+                ))
+            entries.append((address, -int(digits) if negative else int(digits)))
     return ProducerDataset(tuple(entries))
 
 

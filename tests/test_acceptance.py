@@ -333,7 +333,7 @@ class TestCriterion6ConditionOracles:
         gr = check_gr(model, pv, m=3)
         nd = check_nd(model, pv, pm, m=3)
         ns = check_ns(model, ZeroSybilCost(), pv, pm, delta=0)
-        lin = check_linearity(model, 64, np.random.default_rng(GRID_SEED))
+        lin = check_linearity(model, 64, GRID_SEED)
         ok = gr.holds and nd.holds and ns.holds and lin.is_linear and lin.max_violation <= 1e-9
         criterion("6", "linear family passes coverage, merge and split checks", ok,
                   f"max_violation={lin.max_violation:.2e}")
@@ -349,7 +349,7 @@ class TestCriterion6ConditionOracles:
             pv, pm = PowerVector((2.0, 1.0, 1.0)), PlayerMap(("A", "B", "C"))
             nd = check_nd(model, pv, pm, m=3)
             ns = check_ns(model, ZeroSybilCost(), pv, pm, delta=0)
-            lin = check_linearity(model, 64, np.random.default_rng(GRID_SEED))
+            lin = check_linearity(model, 64, GRID_SEED)
             ok &= lin.is_linear == expect_linear
             ok &= (nd.holds and ns.holds) == lin.is_linear
         criterion("6", "linearity probe agrees with merge/split neutrality", ok)

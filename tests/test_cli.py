@@ -76,6 +76,23 @@ class TestMetricsCommand:
         assert main(["metrics", "--input", str(path)]) == 3
         assert "base-10 integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "count",
+        ["9" + "0" * 307, "9" * 400, "9" * 5000, str(2**53 + 1)],
+        ids=["gini-overflow", "float-overflow", "int-digit-limit", "cap-plus-one"],
+    )
+    def test_block_count_above_exact_floats_exit_code(self, count, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"address,blocks\nalice,{count}\nbob,3\n", encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "metrics", "--input", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("DomainError: "), done.stderr
+        assert "2**53" in done.stderr and "Traceback" not in done.stderr
+
     def test_single_producer_level_prints_positive_zero(self, tmp_path, capsys):
         # the 50% and 33% levels hold alice alone
         path = tmp_path / "top.csv"
@@ -131,6 +148,22 @@ class TestCheckCommand:
         assert done.stderr == (
             "DomainError: utility of node 0 is undefined: lottery weight sum is 0\n"
         )
+
+    def test_check_process_does_not_load_numpy_random(self):
+        # the linearity probe draws from random.Random(seed)
+        script = (
+            "import sys\n"
+            "from decentsim import cli\n"
+            "code = cli.main(['check', '--config', 'configs/check/sqrt_lottery.json'])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy.random' not in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script], cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_search_bound_exit_code(self, capsys):
         code = main([

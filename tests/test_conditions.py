@@ -4,7 +4,6 @@ import time
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -339,28 +338,39 @@ class TestSplitCondition:
 
 class TestLinearityProbe:
     def test_linear_families(self):
-        rng = np.random.default_rng(3)
-        assert check_linearity(Linear("inverse-total", 2.0), 64, rng).is_linear
-        rng = np.random.default_rng(3)
-        assert check_linearity(Linear("constant", 2.0), 64, rng).is_linear
-        rng = np.random.default_rng(3)
-        res = check_linearity(PoW(5, 0, 0), 64, rng)
+        assert check_linearity(Linear("inverse-total", 2.0), 64, 3).is_linear
+        assert check_linearity(Linear("constant", 2.0), 64, 3).is_linear
+        res = check_linearity(PoW(5, 0, 0), 64, 3)
         assert res.is_linear
         assert res.max_violation <= 1e-9
 
     def test_square_root_is_not_linear(self):
-        res = check_linearity(GammaReward(3, 0.5), 64, np.random.default_rng(3))
+        res = check_linearity(GammaReward(3, 0.5), 64, 3)
         assert not res.is_linear
         assert res.max_violation > 1e-3
 
     def test_fixed_cost_breaks_linearity(self):
-        res = check_linearity(PoW(5, 0, 1.0), 64, np.random.default_rng(3))
+        res = check_linearity(PoW(5, 0, 1.0), 64, 3)
         assert not res.is_linear
 
     def test_cannot_run_is_a_violation(self):
-        res = check_linearity(PoS(5, 0, s_b=100.0), 8, np.random.default_rng(3))
+        res = check_linearity(PoS(5, 0, s_b=100.0), 8, 3)
         assert not res.is_linear
         assert res.max_violation == math.inf
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_verdicts_hold_across_seeds(self, seed):
+        for model in (Linear("inverse-total", 2.0), Linear("constant", 2.0), PoW(5, 0, 0)):
+            res = check_linearity(model, 64, seed)
+            assert res.is_linear and res.max_violation <= 1e-9, (model, res)
+        res = check_linearity(GammaReward(3, 0.5), 64, seed)
+        assert not res.is_linear and res.max_violation > 1e-3
+        assert not check_linearity(PoW(5, 0, 1.0), 64, seed).is_linear
+        assert check_linearity(PoS(5, 0, s_b=100.0), 8, seed).max_violation == math.inf
+
+    def test_same_seed_same_states(self):
+        model = GammaReward(3, 0.5)
+        assert check_linearity(model, 64, 7) == check_linearity(model, 64, 7)
 
 
 class TestNeutralityLinearityMatch:
@@ -375,7 +385,7 @@ class TestNeutralityLinearityMatch:
         pv, pm = PowerVector((2, 1, 1)), players(3)
         nd = check_nd(model, pv, pm, m=3)
         ns = check_ns(model, ZeroSybilCost(), pv, pm, delta=0)
-        lin = check_linearity(model, 64, np.random.default_rng(5))
+        lin = check_linearity(model, 64, 5)
         assert nd.holds and ns.holds and lin.is_linear
 
     @pytest.mark.parametrize("model", [GammaReward(3, 0.5), PoW(12.5, 0, 1)])
@@ -383,7 +393,7 @@ class TestNeutralityLinearityMatch:
         pv, pm = PowerVector((2, 1, 1)), players(3)
         nd = check_nd(model, pv, pm, m=3)
         ns = check_ns(model, ZeroSybilCost(), pv, pm, delta=0)
-        lin = check_linearity(model, 64, np.random.default_rng(5))
+        lin = check_linearity(model, 64, 5)
         assert not (nd.holds and ns.holds)
         assert not lin.is_linear
 

@@ -8,6 +8,7 @@ import pytest
 from decentsim.bound import WalkParams
 from decentsim.config import WALK_KEYS, echo_values, parse_config
 from decentsim.errors import ConfigError
+from decentsim.metrics import load_producer_csv
 
 # a simulate run without its seeds
 SIMULATE = dict(model="gamma", br=3.0, r_max=3.0, horizon=5, n_nodes=2,
@@ -165,7 +166,15 @@ class TestEcho:
 
 class TestCheckedInConfigs:
     def test_configs_exist(self):
-        assert {path.parent.name for path in CONFIGS} == {"bound", "sweep", "check", "simulate"}
+        assert {path.parent.name for path in CONFIGS} == {
+            "bound", "sweep", "check", "simulate", "metrics"
+        }
+
+    def test_metrics_input_is_relative_to_the_repository_root(self, monkeypatch):
+        monkeypatch.chdir(CONFIG_DIR.parent)
+        cfg = parse_config("metrics", file=CONFIG_DIR / "metrics/producers.json")
+        assert not Path(cfg["input"]).is_absolute()
+        assert load_producer_csv(cfg["input"]).total_blocks() > 0
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 1.5])
     def test_trichotomy_configs_differ_only_in_gamma(self, gamma):

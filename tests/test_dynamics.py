@@ -462,6 +462,15 @@ class TestSummarize:
         for betas, seed in zip(summary.final_betas, config.seeds):
             assert np.array_equal(betas, replay_final_betas(config, seed))
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_window_check_one_step_at_a_time(self, case, monkeypatch):
+        # the window check converts slices of a block; any slice size gives
+        # the same verdict and last ratios
+        config = gamma_config(**self.CASES[case])
+        whole = summarize(config).verdict
+        monkeypatch.setattr(dynamics, "TAIL_SLICE_BYTES", 1)
+        assert summarize(config).verdict == whole
+
     def test_window_bounds(self):
         class Calls(list):
             def record(self, t0, states, winners):

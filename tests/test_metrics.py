@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from decentsim.errors import DomainError, StructuralError
 from decentsim.metrics import (
+    MAX_BLOCKS,
     ProducerDataset,
     gini,
     load_producer_csv,
@@ -200,3 +201,18 @@ class TestDatasetIO:
     def test_negative_blocks(self):
         with pytest.raises(DomainError):
             ProducerDataset((("a", -1),))
+
+    def test_counts_up_to_exact_float_limit(self):
+        # every count at or below 2**53 is an exact float, so the report is finite
+        rep = report(dataset([MAX_BLOCKS, MAX_BLOCKS - 1, 1]))
+        assert all(math.isfinite(level.gini) for level in rep.levels)
+        with pytest.raises(DomainError, match=r"2\*\*53"):
+            dataset([MAX_BLOCKS + 1, 1])
+
+    def test_long_digit_strings_are_range_checked(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("address,blocks\nalice," + "0" * 5000 + "7\n", encoding="utf-8")
+        assert load_producer_csv(path).entries == (("alice", 7),)
+        path.write_text("address,blocks\nalice,-" + "9" * 5000 + "\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="non-negative"):
+            load_producer_csv(path)
