@@ -41,6 +41,10 @@ MAX_CELLS = 4e9
 # poor wins (max-step)
 MAX_LINE_CELLS = 10**7
 
+# most f x epsilon x rho cells one sweep may list: its rows take about
+# 1.7 KB each, so about 180 MB at the cap
+MAX_SWEEP_CELLS = 10**5
+
 STRATEGIES = ("micro", "max-step", "hybrid")
 
 # Observed ratios from a large public work-lottery pool plus the reward
@@ -483,6 +487,9 @@ def sweep(
     share one DP; hybrid and max-step cells each run their own."""
     if not f_values or not epsilon_values or not rho_values:
         raise DomainError("sweep grids must be non-empty")
+    cells = len(f_values) * len(epsilon_values) * len(rho_values)
+    if cells > MAX_SWEEP_CELLS:
+        raise BudgetError(f"sweep of {cells} cells exceeds the cap of {MAX_SWEEP_CELLS}")
     micro = params.strategy == "micro"
     solved: dict[tuple, BoundEstimate] = {}
     rows = []

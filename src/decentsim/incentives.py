@@ -3,12 +3,11 @@
 Every model exposes an expected net profit per time unit through
 ``utility``, from the per-node formula the model class carries.  A model
 whose formula reads something of all nodes at once (the lottery weights'
-sum, the elected set) computes it as its ``aggregate``, and can prepare it
-for nodes placed ahead of a fixed context, which ``parts_scorer`` uses to
-score many sets of nodes against one context.  The
-lottery families (work-weighted, stake-weighted and the exponent-weighted
-family) also carry what the simulator needs to draw one block winner per
-time unit: the weight exponent and the winner's net reward.  ``MODELS``
+sum, the elected set) computes it in one method, its ``aggregate``, which
+``utility`` and ``parts_scorer`` both read.  The lottery families
+(work-weighted, stake-weighted and the exponent-weighted family) also
+carry what the simulator needs to draw one block winner per time unit:
+the weight exponent and the winner's net reward.  ``MODELS``
 names every family and, through each class's ``KEYS``, its config keys;
 ``SYBIL_COSTS`` does the same for the multi-node cost models.
 """
@@ -16,8 +15,8 @@ names every family and, through each class's ``KEYS``, its config keys;
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,11 +34,6 @@ class _Model:
 
     def aggregate(self, powers: tuple[float, ...]):
         """What the formula reads of all the given nodes at once."""
-        return None
-
-    def aggregator(self, context: tuple[float, ...]) -> Callable[[tuple[float, ...]], object]:
-        """``aggregate`` of parts placed ahead of the context, as a function
-        of the parts, or None where the formula reads no aggregate."""
         return None
 
     def notes(self, powers: Sequence[float]) -> tuple[str, ...]:
@@ -135,21 +129,8 @@ class DPoS(_Model):
 
     def aggregate(self, powers: tuple[float, ...]) -> list[int]:
         """The elected nodes' indices."""
-        # stable sort keeps the lower index on ties
-        order = sorted(range(len(powers)), key=lambda i: -powers[i])
-        return order[: self.n_dpos]
-
-    def aggregator(self, context: tuple[float, ...]) -> Callable[[tuple[float, ...]], set[int]]:
-        ranked = sorted(context)
-
-        def elected(parts: tuple[float, ...]) -> set[int]:
-            # a part ranks behind every larger node and every equal part
-            # before it; equal context nodes come after it
-            return {j for j, p in enumerate(parts)
-                    if len(ranked) - bisect_right(ranked, p)
-                    + sum(q > p or (q == p and i < j) for i, q in enumerate(parts)) < self.n_dpos}
-
-        return elected
+        # the sort is stable, also in reverse: the lower index wins ties
+        return sorted(range(len(powers)), key=powers.__getitem__, reverse=True)[: self.n_dpos]
 
 
 @dataclass(frozen=True)
@@ -181,12 +162,7 @@ class GammaReward(_Lottery):
 
     def aggregate(self, powers: tuple[float, ...]) -> float:
         """The lottery weights' sum."""
-        return math.fsum([p**self.gamma for p in powers])
-
-    def aggregator(self, context: tuple[float, ...]) -> Callable[[tuple[float, ...]], float]:
-        gamma = self.gamma
-        weights = [p**gamma for p in context]
-        return lambda parts: math.fsum([*[p**gamma for p in parts], *weights])
+        return math.fsum(map(pow, powers, repeat(self.gamma)))
 
     def weight_exponent(self) -> float:
         return self.gamma
@@ -276,38 +252,34 @@ Scorer = Callable[[tuple[float, ...]], float]
 def parts_scorer(model: IncentiveModel, context: Sequence[float]) -> Scorer:
     """The summed realized utility of nodes of the given float powers placed
     ahead of the context's nodes, as a function of those powers, with the
-    context checked and its share of the model's aggregate prepared once.
+    context checked and converted to floats once.
 
     Each call checks the parts as ``PowerVector`` does, takes one total and
-    one aggregate of parts and context, then applies ``utility``'s rules per
-    part: below s_b it earns 0, and an overflow or a non-finite utility
+    one ``aggregate`` of parts and context, then applies ``utility``'s rules
+    per part: below s_b it earns 0, and an overflow or a non-finite utility
     raises the same DomainError for the same node.  ``math.fsum`` is
     correctly rounded, so these sums have the bits of ``utility``'s sums
     over the same nodes in a different order.
     """
     context = tuple(context)
     valid = all(0.0 < p < math.inf for p in context)
-    aggregate_of = None
     if valid:
         context = tuple(float(p) for p in context)
-        try:
-            aggregate_of = model.aggregator(context)
-        except OverflowError:  # a context weight; raised for the first part that runs
-            aggregate_of = _raise_overflow
-    s_b, node_utility = model.s_b, model.node_utility
+    s_b, node_utility, aggregate_of = model.s_b, model.node_utility, model.aggregate
 
     def score(parts: tuple[float, ...]) -> float:
+        state = (*parts, *context)
         # where this quick check fails (a NaN or an infinity fails the sum's
         # bound), the state's own check decides; empty parts ahead of a
         # valid context earn 0
         if not (valid and parts and 0.0 < min(parts) and sum(parts) < math.inf):
-            PowerVector((*parts, *context))
+            PowerVector(state)
             if not parts:
                 return 0.0
         try:
-            total = math.fsum((*parts, *context))
-            aggregate = aggregate_of(parts) if aggregate_of else None
-        except OverflowError:
+            total = math.fsum(state)
+            aggregate = aggregate_of(state)
+        except OverflowError:  # the total, or a weight; raised for the first part that runs
             total = None
         utilities = []
         for j, p in enumerate(parts):
@@ -325,10 +297,6 @@ def parts_scorer(model: IncentiveModel, context: Sequence[float]) -> Scorer:
         return math.fsum(utilities)
 
     return score
-
-
-def _raise_overflow(parts: tuple[float, ...]):
-    raise OverflowError
 
 
 def lottery_weights(model: IncentiveModel, powers: np.ndarray) -> np.ndarray:

@@ -488,6 +488,16 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep([], [0.0], [0.1], params())
 
+    def test_cell_cap_before_any_dp(self, monkeypatch):
+        monkeypatch.setattr(bound, "MAX_SWEEP_CELLS", 11)
+
+        def no_dp(p):
+            raise AssertionError("exact_g ran before the cell cap")
+
+        monkeypatch.setattr(bound, "exact_g", no_dp)
+        with pytest.raises(BudgetError, match="sweep of 12 cells exceeds the cap of 11"):
+            sweep([1e-4, 1e-3, 1e-2], [0.0, 9.0, 99.0, 999.0], [0.1], params())
+
 
 def cell_rows(f_grid, eps_grid, rho_grid, base):
     """One direct ``exact_g`` per cell, in the order ``sweep`` emits rows."""

@@ -387,6 +387,18 @@ class TestBoundCommand:
         assert main(["sweep", "--f_grid=", "--epsilon_grid=0", "--rho_grid=0.1"]) == 3
         assert "DomainError: sweep grids must be non-empty" in capsys.readouterr().err
 
+    def test_sweep_cell_cap_exit_code(self, capsys):
+        # 1000 x 101 x 1 = 101,000 cells, over the cap of 100,000
+        f_grid = ",".join(str((i + 1) / 1001) for i in range(1000))
+        eps_grid = ",".join(str(i) for i in range(101))
+        started = time.perf_counter()
+        code = main(["sweep", f"--f_grid={f_grid}", f"--epsilon_grid={eps_grid}",
+                     "--rho_grid=0.1"])
+        assert time.perf_counter() - started < 0.5
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"sweep of 101000 cells exceeds the cap of {bound.MAX_SWEEP_CELLS}" in err
+
 
 def run_trichotomy(*args):
     done = subprocess.run(
