@@ -11,6 +11,7 @@ reproduces the results payload byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import gc
 import json
@@ -86,12 +87,6 @@ def sim_config(cfg: RunConfig) -> SimConfig:
         delta=cfg["delta"],
         window=cfg["window"],
     )
-
-
-def _csv_line(fields: list[str]) -> str:
-    """One CSV row of formatted fields.  None needs quoting: each is a
-    ``repr`` float, an int or a fixed header name."""
-    return ",".join(fields) + "\r\n"
 
 
 class _TrajectoryCsvWriter:
@@ -218,7 +213,8 @@ def _write_csv(cfg: RunConfig, header: list[str], rows: list[list[str]]) -> str:
     """Write a table to the configured ``csv_out``; returns its path."""
     path = _resolve_path(cfg["csv_out"])
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("".join(map(_csv_line, [header, *rows])), encoding="utf-8", newline="")
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle).writerows([header, *rows])
     return str(path)
 
 

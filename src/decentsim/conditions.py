@@ -19,8 +19,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, groupby, islice
-from operator import itemgetter
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 from .core import PlayerMap, PowerVector, effective_powers, percentile_power
@@ -73,15 +72,9 @@ class SplitWitness:
 
 
 @dataclass(frozen=True)
-class NdResult:
+class SearchResult:
     holds: bool
-    witness: MergeWitness | None
-
-
-@dataclass(frozen=True)
-class NsResult:
-    holds: bool
-    witness: SplitWitness | None
+    witness: MergeWitness | SplitWitness | None
 
 
 @dataclass(frozen=True)
@@ -93,8 +86,8 @@ class LinearityResult:
 @dataclass(frozen=True)
 class ConditionReport:
     gr: GrResult
-    nd: NdResult
-    ns: NsResult
+    nd: SearchResult
+    ns: SearchResult
     ed: str = "deferred"
     notes: tuple[str, ...] = field(default_factory=tuple)
 
@@ -159,20 +152,21 @@ def _check_search_size(what: str, grid: int, searches: Iterable[int]) -> int:
 
 
 def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each distinct-player node set with, per survivor count k, the first
-    survivor set (in ``combinations`` order) that leaves fewer than m players
-    running.  A survivor adds a running player only if its owner runs no node
-    outside the set, and at most m - 1 - |outside| may; so that set is the
-    first k members whose owner runs a node outside or that are among the
-    first m - 1 - |outside| others.  Every player with no node in a set of s
-    nodes runs one outside it, so sets of at most players + 1 - m nodes have
+    """Each distinct-player node set that counts, once, with its survivor order
+    cut to size - 1 nodes: for each k up to its length, its first k nodes are
+    the first survivor set of k nodes (in ``combinations`` order) that leaves
+    fewer than m players running.  A survivor adds a running player only if its
+    owner runs no node outside the set, and at most m - 1 - |outside| may; so
+    the order is the members whose owner runs a node outside or that are among
+    the first m - 1 - |outside| others.  Every player with no node in a set of
+    s nodes runs one outside it, so sets of at most players + 1 - m nodes have
     no survivor that counts and are skipped.  A set that counts thus holds at
     least players + 1 - m nodes whose owner runs no other, that is it leaves
-    out at most m - 1 - (players running several nodes) of them, so with
-    fewer one-node players there is none.  The sets are walked in
-    ``combinations`` order, node by node, and a branch ends once the owners
-    not yet in the set cannot fill it or it leaves out too many one-node
-    players, so the walk visits only sets that count and their prefixes."""
+    out at most m - 1 - (players running several nodes) of them, so with fewer
+    one-node players there is none.  The sets are walked in ``combinations``
+    order, node by node, and a branch ends once the owners not yet in the set
+    cannot fill it or it leaves out too many one-node players, so the walk
+    visits only sets that count and their prefixes."""
     owners = pm.owners
     nodes = {owner: owners.count(owner) for owner in owners}
     players = len(nodes)
@@ -226,9 +220,7 @@ def _merges(pm: PlayerMap, m: int) -> Iterator[tuple[tuple[int, ...], tuple[int,
             lone = [i for i in subset if alone[i]]
             room = m - 1 - (players - len(lone))  # players - |lone| run a node outside
             barred = set(lone[room:])
-            may_survive = [i for i in subset if i not in barred]
-            for surv_size in range(1, min(size, len(may_survive) + 1)):
-                yield subset, tuple(may_survive[:surv_size])
+            yield subset, tuple([i for i in subset if i not in barred][:size - 1])
 
 
 def _best_split(score: Scorer, pool: float, parts: int, grid: int, baseline: float,
@@ -256,34 +248,36 @@ def check_nd(
     m: int,
     grid: int = DEFAULT_GRID,
     max_nodes: int = DEFAULT_MAX_NODES,
-) -> NdResult:
+) -> SearchResult:
     """Can nodes run by different players profit by combining into fewer nodes?
 
     Only merges that leave fewer than m players running nodes count.  The
     combined power may be re-allocated arbitrarily among the surviving
     nodes; the grid discretizes that re-allocation.  Survivors decide only
-    whether a merge counts, not its total, so the first survivor set of each
-    size that counts is the only one scored.  Holds on equality.
+    whether a merge counts, not its total, so each set that counts is scored
+    once per survivor count k, on the first k nodes of its survivor order.
+    Holds on equality.
     """
     n = len(pv)
     if n != len(pm):
         raise DomainError("power vector and player map must be parallel")
     if n > max_nodes:
         raise SearchBoundError(f"{n} nodes exceeds the merge search bound of {max_nodes}")
-    if not _check_search_size("merge", grid, (len(survivors) for _, survivors in _merges(pm, m))):
-        return NdResult(holds=True, witness=None)
+    counts = (k for _, survivors in _merges(pm, m) for k in range(1, len(survivors) + 1))
+    if not _check_search_size("merge", grid, counts):
+        return SearchResult(holds=True, witness=None)
     best: MergeWitness | None = None
     own = cache(lambda i: realized_utility(model, i, pv))
-    for subset, pairs in groupby(_merges(pm, m), key=itemgetter(0)):
+    for subset, survivors in _merges(pm, m):
         separate = math.fsum(own(i) for i in subset)
         pool = math.fsum(pv.powers[i] for i in subset)
         inside = set(subset)
         score = parts_scorer(model, (pv.powers[i] for i in range(n) if i not in inside))
-        for _, survivors in pairs:
-            found = _best_split(score, pool, len(survivors), grid, separate, lambda _: 0.0)
+        for k in range(1, len(survivors) + 1):
+            found = _best_split(score, pool, k, grid, separate, lambda _: 0.0)
             if found is not None and (best is None or found[0] > best.gain):
-                best = MergeWitness(subset, survivors, found[1], separate, found[2])
-    return NdResult(holds=best is None, witness=best)
+                best = MergeWitness(subset, survivors[:k], found[1], separate, found[2])
+    return SearchResult(holds=best is None, witness=best)
 
 
 def check_ns(
@@ -294,7 +288,7 @@ def check_ns(
     delta: float,
     grid: int = DEFAULT_GRID,
     max_parts: int = DEFAULT_MAX_NODES,
-) -> NsResult:
+) -> SearchResult:
     """Can a player at or above the delta-th percentile profit by splitting
     its power across several nodes, net of the multi-node cost?
 
@@ -322,7 +316,7 @@ def check_ns(
                                 lambda parts: sybil.cost(score, parts))
             if found is not None and (best is None or found[0] > best.gain):
                 best = SplitWitness(player, power, found[1], single, found[2], found[3])
-    return NsResult(holds=best is None, witness=best)
+    return SearchResult(holds=best is None, witness=best)
 
 
 def check_linearity(

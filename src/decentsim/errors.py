@@ -1,8 +1,9 @@
 """Exception classes shared across the package.
 
-Each class maps to a distinct CLI exit code (see cli.EXIT_CODES), so
-callers can tell configuration mistakes apart from domain violations or
-resource limits without parsing messages.
+Each class maps to a CLI exit code (see cli.EXIT_CODES): 2 configuration,
+3 structural or domain violations (one code for both), 4 search bound, 5
+size cap, 6 unsupported model.  Callers can thus tell configuration
+mistakes apart from bad values or resource limits without parsing messages.
 """
 
 

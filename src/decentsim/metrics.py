@@ -56,31 +56,36 @@ def load_producer_csv(path: str | Path) -> ProducerDataset:
     path = Path(path)
     if not path.is_file():
         raise DomainError(f"producer dataset not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:  # a BOM is dropped
+            reader = csv.reader(handle)
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise DomainError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows or [h.strip().lower() for h in rows[0]] != ["address", "blocks"]:
+        raise DomainError(f"{path}: expected header 'address,blocks'")
     entries = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["address", "blocks"]:
-            raise DomainError(f"{path}: expected header 'address,blocks'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DomainError(f"{path}:{line_no}: expected two columns")
-            address, raw = row[0].strip(), row[1].strip()
-            # ASCII digits only: int() would also take "1_0", "+4" and
-            # other scripts' digits; a sign stays for the non-negative check
-            if not re.fullmatch(r"-?[0-9]+", raw):
-                raise DomainError(
-                    f"{path}:{line_no}: blocks must be a base-10 integer, got {raw!r}"
-                )
-            # int() refuses strings of over 4300 digits, leading zeros included
-            negative, digits = raw[0] == "-", raw.lstrip("-").lstrip("0") or "0"
-            if len(digits) > len(str(MAX_BLOCKS)):
-                raise DomainError(f"{path}:{line_no}: " + (
-                    "block counts must be non-negative" if negative else _TOO_MANY_BLOCKS
-                ))
-            entries.append((address, -int(digits) if negative else int(digits)))
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise DomainError(f"{path}:{line_no}: expected two columns")
+        address, raw = row[0].strip(), row[1].strip()
+        # ASCII digits only: int() would also take "1_0", "+4" and
+        # other scripts' digits; a sign stays for the non-negative check
+        if not re.fullmatch(r"-?[0-9]+", raw):
+            raise DomainError(
+                f"{path}:{line_no}: blocks must be a base-10 integer, got {raw!r}"
+            )
+        # int() refuses strings of over 4300 digits, leading zeros included
+        negative, digits = raw[0] == "-", raw.lstrip("-").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BLOCKS)):
+            raise DomainError(f"{path}:{line_no}: " + (
+                "block counts must be non-negative" if negative else _TOO_MANY_BLOCKS
+            ))
+        entries.append((address, -int(digits) if negative else int(digits)))
     return ProducerDataset(tuple(entries))
 
 

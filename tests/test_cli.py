@@ -93,6 +93,26 @@ class TestMetricsCommand:
         assert done.stderr.startswith("DomainError: "), done.stderr
         assert "2**53" in done.stderr and "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"address,blocks\n" + b"a" * 200_000 + b",1\n", ":2: field larger than field limit"),
+            (b"address,blocks\n\xff,1\n", ": not UTF-8 text"),
+        ],
+        ids=["field-over-csv-limit", "not-utf8"],
+    )
+    def test_unreadable_csv_exit_code(self, body, message, tmp_path):
+        path = tmp_path / "unreadable.csv"
+        path.write_bytes(body)
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "metrics", "--input", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(f"DomainError: {path}{message}"), done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_single_producer_level_prints_positive_zero(self, tmp_path, capsys):
         # the 50% and 33% levels hold alice alone
         path = tmp_path / "top.csv"
@@ -609,6 +629,15 @@ class TestSimulateInputs:
         else:
             assert code in (2, 3, 4, 5, 6)
             assert err.getvalue().split(":")[0].endswith("Error")
+
+    @pytest.mark.parametrize("model", ["dpos", "linear"])
+    def test_model_without_lottery_exit_code(self, model, capsys):
+        # the schema offers only the lottery models, so no CLI run reaches
+        # the simulator's UnsupportedModelError (exit 6)
+        argv = ["simulate", "--model", model, "--br", "3", "--r_max", "3", "--horizon", "5",
+                "--n_nodes", "2", "--init", "explicit", "--init_powers", "4,1", "--seeds", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("ConfigError: config key 'model' must be one of")
 
 
 WALK_SANE = {

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from decentsim import conditions, incentives
 from decentsim.conditions import (
     MergeWitness,
-    NdResult,
-    NsResult,
+    SearchResult,
     SplitWitness,
     _tolerance,
     check_all,
@@ -176,6 +175,19 @@ def combinations_merges(pm, m):
                 yield subset, tuple(may_survive[:surv_size])
 
 
+def merge_pairs(pm, m):
+    """``conditions._merges`` flattened to one (set, survivor set) pair per
+    survivor count k, the survivor set being the first k of its order."""
+    for subset, survivors in conditions._merges(pm, m):
+        for k in range(1, len(survivors) + 1):
+            yield subset, survivors[:k]
+
+
+def random_player_map(rng, n):
+    players_count = rng.randint(1, n)
+    return PlayerMap(tuple(f"p{rng.randrange(players_count)}" for _ in range(n)))
+
+
 def one_and_multi_node_players(alone, multi, nodes_each):
     multi_owners = [f"M{j}" for j in range(multi) for _ in range(nodes_each)]
     return PlayerMap(tuple([f"s{i}" for i in range(alone)] + multi_owners))
@@ -187,10 +199,25 @@ class TestMergeSurvivors:
         for seed in range(150):
             rng = random.Random(f"merge-walk/{seed}")
             n = rng.randint(2, 11)
-            players_count = rng.randint(1, n)
-            pm = PlayerMap(tuple(f"p{rng.randrange(players_count)}" for _ in range(n)))
+            pm = random_player_map(rng, n)
             for m in range(1, n + 3):
-                assert list(conditions._merges(pm, m)) == list(combinations_merges(pm, m))
+                assert list(merge_pairs(pm, m)) == list(combinations_merges(pm, m))
+
+    def test_each_set_once(self):
+        # the random player maps above, and the shared-owner specs of the CI
+        # merge-walk step at their m: one item per node set that counts, each
+        # with at least one survivor
+        cases = []
+        for seed in range(150):
+            rng = random.Random(f"merge-walk/{seed}")
+            n = rng.randint(2, 11)
+            pm = random_player_map(rng, n)
+            cases += [(pm, m) for m in range(1, n + 3)]
+        cases += [(one_and_multi_node_players(18, 2, 10), 3), (one_and_multi_node_players(10, 4, 5), 5)]
+        for pm, m in cases:
+            items = list(conditions._merges(pm, m))
+            assert len({subset for subset, _ in items}) == len(items)
+            assert all(survivors for _, survivors in items)
 
     def test_many_one_node_players_beside_shared_owners(self):
         # 18 one-node players and two 10-node players at m = 3: a set that
@@ -199,7 +226,7 @@ class TestMergeSurvivors:
         # 20 with 2, where combinations walk about 6.9e10 node sets
         pm = one_and_multi_node_players(18, 2, 10)
         started = time.perf_counter()
-        assert sum(1 for _ in conditions._merges(pm, 3)) == 20 + 100 * 2
+        assert sum(1 for _ in merge_pairs(pm, 3)) == 20 + 100 * 2
         assert time.perf_counter() - started < 0.5
 
     def test_set_larger_than_the_recursion_limit(self):
@@ -225,10 +252,9 @@ class TestMergeSurvivors:
         # shared owners: n nodes among 1 to n players
         rng = random.Random(f"survivors/{seed}")
         n = rng.randint(2, 9)
-        players_count = rng.randint(1, n)
-        pm = PlayerMap(tuple(f"p{rng.randrange(players_count)}" for _ in range(n)))
+        pm = random_player_map(rng, n)
         for m in range(1, n + 3):
-            assert list(conditions._merges(pm, m)) == list(walked_merges(pm, m))
+            assert list(merge_pairs(pm, m)) == list(walked_merges(pm, m))
 
     def test_many_nodes(self):
         # the survivor walk takes about 3^15 steps here; no merge counts at m = 1
@@ -472,7 +498,7 @@ def brute_check_nd(model, pv, pm, m, grid):
                             witness = MergeWitness(subset, survivors, alloc, separate, merged)
                             if best is None or witness.gain > best.gain:
                                 best = witness
-    return NdResult(holds=best is None, witness=best)
+    return SearchResult(holds=best is None, witness=best)
 
 
 def brute_check_ns(model, sybil, pv, pm, delta, grid, max_parts):
@@ -497,7 +523,7 @@ def brute_check_ns(model, sybil, pv, pm, delta, grid, max_parts):
                     witness = SplitWitness(player, power, parts, single, split_total, cost)
                     if best is None or witness.gain > best.gain:
                         best = witness
-    return NsResult(holds=best is None, witness=best)
+    return SearchResult(holds=best is None, witness=best)
 
 
 def seesaw_reward(total):

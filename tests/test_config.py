@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,9 @@ BIG = 2**53 + 1
 # checked-in run configs, one directory per subcommand
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = sorted(CONFIG_DIR.glob("*/*.json"))
+# files json.loads refuses with other errors than JSONDecodeError: nesting
+# past the recursion limit, an int over 4300 digits, bytes that are not UTF-8
+UNREADABLE_CONFIGS = {"deep": b"[" * 100_000, "long-int": b"1" * 5000, "not-utf8": b"\xff"}
 
 
 class TestBoundSchema:
@@ -78,10 +84,24 @@ class TestFileHandling:
             parse_config("bound", file=tmp_path / "absent.json")
 
     def test_invalid_json(self, tmp_path):
-        path = tmp_path / "run.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            parse_config("bound", file=path)
+        for name, body in {"syntax": b"{not json", **UNREADABLE_CONFIGS}.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(body)
+            with pytest.raises(ConfigError, match=f"config file {re.escape(str(path))} is not valid JSON"):
+                parse_config("bound", file=path)
+
+    @pytest.mark.parametrize("name", UNREADABLE_CONFIGS)
+    def test_invalid_json_exit_code(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNREADABLE_CONFIGS[name])
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "anchors", "--config", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"ConfigError: config file {path} is not valid JSON"), done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestListKeys:

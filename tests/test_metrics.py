@@ -169,6 +169,14 @@ class TestDatasetIO:
         ds = load_producer_csv(path)
         assert ds.entries == (("alice", 5), ("bob", 3))
 
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet exports start UTF-8 files with a BOM
+        path = tmp_path / "producers.csv"
+        path.write_text("address,blocks\nalice,5\nbob,3\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        ds = load_producer_csv(path)
+        assert ds.entries == (("alice", 5), ("bob", 3))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DomainError):
             load_producer_csv(tmp_path / "nope.csv")
