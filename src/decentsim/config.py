@@ -189,7 +189,7 @@ def parse_config(
     if file:
         path = Path(file)
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = json.loads(path.read_text(encoding="utf-8-sig"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting, huge ints

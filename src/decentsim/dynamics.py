@@ -278,15 +278,23 @@ def run_seeds(config: SimConfig, recorders: Sequence[Recorder]) -> np.ndarray:
     # (steps, seeds, 1), so that each step's draws scale a column
     uniforms = np.empty((steps, n_seeds, 1))
     winners = np.empty((steps, n_seeds), dtype=np.int64)
+    # one step's cumulative weights, scaled draws and comparison
+    cum = np.empty_like(state)
+    scaled = np.empty((n_seeds, 1))
+    passed = np.empty(state.shape, dtype=bool)
     for t0 in range(1, horizon + 1, steps):
         block = min(steps, horizon + 1 - t0)
         uniforms[:block, :, 0] = np.stack([rng.random(block) for rng in rngs], axis=1)
         for draws, won, kept in zip(uniforms[:block], winners, states):
-            cum = np.add.accumulate(state**exponent, axis=1)
+            # ``**`` sends 0.5 to sqrt and 2 to square; an out= power would
+            # call pow, whose bits can differ
+            np.add.accumulate(state**exponent, axis=1, out=cum)
+            np.multiply(draws, cum[:, -1:], out=scaled)
             # the first node whose cumulative weight passes the draw: the
             # count of those at or below it that ``step`` takes, as cum is
             # non-decreasing and its normal total passes every draw
-            np.argmax(cum > draws * cum[:, -1:], axis=1, out=won)
+            np.greater(cum, scaled, out=passed)
+            passed.argmax(axis=1, out=won)
             np.add(offsets, won, out=index)
             flat[index] += increment(index)
             kept[...] = state

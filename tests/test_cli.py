@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decentsim import bound, cli, dynamics
+from decentsim import bound, cli, dynamics, trajectory_writer
 from decentsim.cli import main, results_payload_bytes, run
 from decentsim.config import parse_config
 from decentsim.dynamics import SlopeAccumulator, ed_verdict, simulate
@@ -1008,10 +1008,55 @@ class TestStreamedSimulate:
 
 
 class TestTrajectoryWriters:
-    """No trajectory CSV writer process outlives a simulate run."""
+    """No trajectory CSV writer process outlives a simulate run, and a
+    writer's bytes are those of formatting every value with ``repr``."""
 
     ARGV = ["simulate", "--model", "pow", "--br", "1", "--r_max", "1", "--n_nodes", "2",
             "--init", "explicit", "--init_powers", "1,2", "--seeds", "1,2,3"]
+
+    def test_repeated_records_match_repr(self, tmp_path):
+        a, b, c, d = [1.5, 0.25, 0.75], [2.0, 0.5, 0.5], [3.0, 0.1, 0.9], [1.0, 1 / 3, 2 / 3]
+        # equal as floats, not as bytes
+        zero, negative_zero = [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]
+        long = 1 + trajectory_writer.CHUNK_FLOATS // 3  # more steps than one chunk
+        blocks = [
+            # (file 0, file 1) records of each step: repeats inside a block,
+            # across blocks and chunks, and in one file while the other moves
+            [(a, c), (a, d), (b, d), (zero, d)],
+            [(negative_zero, d), (negative_zero, c), (b, c)],
+            [(b, c)] * (long - 10) + [(b, a)] * 10,
+            [(zero, a)],
+        ]
+        paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        feed = b"".join(
+            trajectory_writer.HEAD.pack(len(block)) + np.array(block).tobytes()
+            for block in blocks
+        )
+        subprocess.run(
+            [sys.executable, "-I", trajectory_writer.__file__, "2", *map(str, paths)],
+            input=feed, check=True, timeout=60,
+        )
+        rows = [step for block in blocks for step in block]
+        for file, path in enumerate(paths):
+            expected = "step,ratio,beta_1,beta_2\r\n" + "".join(
+                f"{n},{','.join(repr(float(v)) for v in step[file])}\r\n"
+                for n, step in enumerate(rows)
+            )
+            assert path.read_bytes() == expected.encode()
+        assert b"\r\n4,-0.0,0.0,1.0\r\n" in paths[0].read_bytes()
+
+    def test_clamped_case_repeats_records(self):
+        # the byte-equality tests of TestStreamedSimulate reuse a record's
+        # text: its rows repeat the one before, also across a block boundary
+        case = TestStreamedSimulate.CASES["work-clamped-both-ways"]
+        _, files, _ = reference_simulate(parse_config("simulate", overrides=case))
+        crossing = 0
+        for body in files.values():
+            records = [row.split(b",", 1)[1] for row in body.splitlines()[1:]]
+            repeats = [t for t in range(1, len(records)) if records[t] == records[t - 1]]
+            assert repeats
+            crossing += dynamics.RECORD_BLOCK + 1 in repeats
+        assert crossing
 
     def test_none_outlives_a_run(self, tmp_path, monkeypatch, capfd):
         started = []

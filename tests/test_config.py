@@ -103,6 +103,23 @@ class TestFileHandling:
         assert done.stderr.startswith(f"ConfigError: config file {path} is not valid JSON"), done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_byte_order_mark(self, tmp_path):
+        # editors on some systems save UTF-8 with a BOM
+        body = json.dumps({"f": 1e-4, "rho": 0.1, "samples": 1000})
+        plain, marked = tmp_path / "plain.json", tmp_path / "bom.json"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text(body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config("bound", file=marked) == parse_config("bound", file=plain)
+        (tmp_path / "anchors.json").write_bytes(b"\xef\xbb\xbf{}")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "decentsim.cli", "anchors",
+             "--config", str(tmp_path / "anchors.json")],
+            env=dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+
 
 class TestListKeys:
     def test_comma_string(self):
