@@ -83,6 +83,11 @@ class WalkParams:
             raise DomainError("u must be > 0")
         if self.k_max < 1:
             raise DomainError("k_max must be >= 1")
+        if not math.isfinite(1.0 + self.k_max * self.rho):
+            raise DomainError(
+                f"the rich power 1 + k_max*rho leaves the float range: "
+                f"rho = {self.rho!r}, k_max = {self.k_max}"
+            )
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
         if self.seed < 0:

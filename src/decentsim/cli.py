@@ -23,10 +23,8 @@ from typing import Any
 
 import numpy as np
 
-from . import __version__, trajectory_writer
-from .bound import (
-    SweepRow, WalkParams, exact_g, real_world_anchors, sweep, u_sensitivity, usable_cpus
-)
+from . import __version__
+from .bound import SweepRow, WalkParams, exact_g, real_world_anchors, sweep, u_sensitivity
 from .conditions import check_all, check_linearity
 from .config import SCHEMAS, WALK_KEYS, RunConfig, echo_values, parse_config
 from .core import PlayerMap, PowerVector, RewardParams
@@ -57,6 +55,9 @@ EXIT_CODES = {
 }
 
 OUTPUT_DIR_ENV = "DECENTSIM_OUT"
+# floats of one trajectory file formatted at a time, rounded down to whole
+# records but at least one: it bounds the text held
+CHUNK_FLOATS = 2**14
 
 
 def _resolve_path(raw: str) -> Path:
@@ -91,10 +92,9 @@ def sim_config(cfg: RunConfig) -> SimConfig:
 
 class _TrajectoryCsvWriter:
     """Streams each seed's per-step power ratio and fractions to
-    ``trajectory_<seed>.csv``.  Formatting is left to writer processes
-    running ``trajectory_writer.py`` beside the stepping loop: each
-    ``record`` block goes to them as raw float64 bytes.  The files are dealt
-    round-robin to one writer per usable CPU, at most one per file."""
+    ``trajectory_<seed>.csv``, one appended block of steps per ``record``.
+    Each value is written as its shortest ``repr``; a record whose bytes
+    repeat the one before it in the block reuses that record's text."""
 
     def __init__(self, out_dir: Path, sim: SimConfig) -> None:
         self.out_dir = out_dir
@@ -102,60 +102,39 @@ class _TrajectoryCsvWriter:
         self.paths = {
             out_dir / f"trajectory_{seed}.csv": row for row, seed in enumerate(sim.seeds)
         }
-        self.n_nodes = sim.n_nodes
         self.delta = sim.delta
-        self.writers: list[tuple[Any, list[Path], list[int]]] = []  # process, files, rows
-
-    def _start(self) -> None:
-        # imported here: runs without CSVs never pay for it
-        import subprocess
-
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        paths = list(self.paths)
-        count = min(usable_cpus(), len(paths))
-        for dealt in (paths[i::count] for i in range(count)):
-            # a session of its own: a Ctrl-C interrupts only this process,
-            # whose close then kills the writers
-            process = subprocess.Popen(
-                [sys.executable, "-I", trajectory_writer.__file__, str(self.n_nodes), *dealt],
-                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, start_new_session=True,
-            )
-            self.writers.append((process, dealt, [self.paths[path] for path in dealt]))
+        fields = ["step", "ratio"] + [f"beta_{i + 1}" for i in range(sim.n_nodes)]
+        self.header = ",".join(fields) + "\r\n"
 
     def record(self, t0: int, states: np.ndarray, winners: np.ndarray | None) -> None:
-        if t0 == 0:
-            self._start()
+        first = t0 == 0
+        if first:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
         table = np.concatenate(
             [_ratios(states, self.delta)[..., None], _fractions(states)], axis=2
         )
-        head = trajectory_writer.HEAD.pack(len(states))
-        try:
-            for process, _, rows in self.writers:
-                process.stdin.write(head)
-                process.stdin.write(table[:, rows].tobytes())
-                process.stdin.flush()
-        except BrokenPipeError:
-            self.close()  # names the writer that exited
-            raise
-
-    def close(self, failed: bool = False) -> None:
-        """End the writers' input and wait for them.  After a run that
-        completed, a writer that exited non-zero becomes an OSError; after
-        one that failed, whose last block a writer may hold only part of,
-        the writers are killed instead, so the run's own error stands."""
-        writers, self.writers = self.writers, []
-        for process, _, _ in writers:
-            if failed:
-                process.kill()
-            try:
-                process.stdin.close()
-            except BrokenPipeError:
-                pass  # the writer exited; its code tells why
-        codes = [process.wait() for process, _, _ in writers]
-        for code, (_, dealt, _) in zip(codes, writers):
-            if code and not failed:
-                names = ", ".join(path.name for path in dealt)
-                raise OSError(f"the trajectory CSV writer of {names} exited with code {code}")
+        steps, seeds, width = table.shape
+        stride = seeds * width
+        chunk = max(1, CHUNK_FLOATS // width)
+        data = table.tobytes()
+        values = memoryview(data).cast("d")
+        for path, row in self.paths.items():
+            # the previous record as raw bytes, not floats: -0.0 == 0.0
+            # prints differently
+            record = text = None
+            with path.open("w" if first else "a", encoding="utf-8", newline="") as handle:
+                if first:
+                    handle.write(self.header)
+                for start in range(0, steps, chunk):
+                    offsets = range(start * stride + row * width,
+                                    min(start + chunk, steps) * stride, stride)
+                    lines = []
+                    for step, offset in enumerate(offsets, t0 + start):
+                        raw = data[8 * offset:8 * (offset + width)]
+                        if raw != record:
+                            record, text = raw, ",".join(map(repr, values[offset:offset + width]))
+                        lines.append(f"{step},{text}\r\n")
+                    handle.write("".join(lines))
 
 
 def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
@@ -164,15 +143,7 @@ def _run_simulate(cfg: RunConfig) -> dict[str, Any]:
     slopes = SlopeAccumulator(n_seeds, sim.horizon) if n_seeds >= MIN_SLOPE_SEEDS else None
     out_dir = _resolve_path(cfg["trajectories_dir"]) if cfg["trajectories_dir"] else None
     csv_writer = _TrajectoryCsvWriter(out_dir, sim) if out_dir is not None else None
-    try:
-        summary = summarize(sim, [r for r in (slopes, csv_writer) if r is not None])
-    except BaseException:
-        # e.g. a KeyboardInterrupt while a block was half sent
-        if csv_writer is not None:
-            csv_writer.close(failed=True)
-        raise
-    if csv_writer is not None:
-        csv_writer.close()
+    summary = summarize(sim, [r for r in (slopes, csv_writer) if r is not None])
     results: dict[str, Any] = {
         "horizon": sim.horizon,
         "n_seeds": n_seeds,

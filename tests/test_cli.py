@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import tempfile
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decentsim import bound, cli, dynamics, trajectory_writer
+from decentsim import bound, cli, dynamics
 from decentsim.cli import main, results_payload_bytes, run
 from decentsim.config import parse_config
 from decentsim.dynamics import SlopeAccumulator, ed_verdict, simulate
@@ -364,6 +363,18 @@ class TestBoundCommand:
                      f"--{flag}", value])
         assert code == 3
         assert f"{flag} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        *(["bound", "--f", "0.5", "--rho", "1e308", "--strategy", strategy]
+          for strategy in ("micro", "max-step", "hybrid")),
+        ["sweep", "--f_grid=0.5", "--epsilon_grid=0", "--rho_grid=0.1,1e308"],
+    ], ids=["micro", "max-step", "hybrid", "sweep"])
+    def test_overflowing_rich_power_exit_code(self, argv, capsys):
+        # the last line's rich power 1 + 10 * 1e308 is past the float range
+        assert main(argv + ["--k_max", "10"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("DomainError: the rich power 1 + k_max*rho leaves the float range: "
+                       "rho = 1e+308, k_max = 10\n")
 
     def test_config_error_exit_code(self, capsys):
         code = main(["bound", "--rho", "0.1"])
@@ -872,7 +883,9 @@ class TestStreamedSimulate:
 
     CASES = {
         "slope-statistics": dict(GAMMA5, horizon=300, seeds=list(range(35))),
-        "horizon-zero": dict(GAMMA5, horizon=0, seeds=list(range(31)), window=5),
+        # the CSVs hold the header and step 0
+        "horizon-zero": dict(GAMMA5, horizon=0, seeds=list(range(31)), window=5,
+                             trajectories_dir="trajs"),
         "window-is-horizon": dict(GAMMA5, horizon=50, seeds=[0, 1, 2, 3], window=50, epsilon=1.0),
         "delta-50": dict(GAMMA5, horizon=400, seeds=list(range(12)), delta=50.0, epsilon=0.8),
         "stake-lottery": {
@@ -916,10 +929,8 @@ class TestStreamedSimulate:
             "init_count_poor": 7, "horizon": 500, "seeds": [5, 6, 7], "window": 100,
             "epsilon": 1.0, "trajectories_dir": "trajs",
         },
-        # one file, so one writer whatever the CPU count
         "one-seed-csv": dict(GAMMA5, horizon=700, seeds=[4], trajectories_dir="trajs"),
     }
-    CSV_CASES = sorted(name for name, case in CASES.items() if case.get("trajectories_dir"))
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -959,20 +970,6 @@ class TestStreamedSimulate:
             assert_slope_stats_exact(results.pop("monotonicity"), trajectories)
         assert json.dumps(results, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
-    @pytest.mark.parametrize("cpus", ["one", "more-than-files"])
-    @pytest.mark.parametrize("case", CSV_CASES)
-    def test_csv_bytes_do_not_depend_on_writers(self, case, cpus, reference, tmp_path,
-                                                 monkeypatch):
-        _, files, _ = reference(case)
-        monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
-        cfg = parse_config("simulate", overrides=self.CASES[case])
-        # one writer for every file, or one writer per file
-        count = 1 if cpus == "one" else len(set(cfg["seeds"])) + 1
-        monkeypatch.setattr(cli, "usable_cpus", lambda: count)
-        run(cfg)
-        written = {path.name: path.read_bytes() for path in (tmp_path / "trajs").iterdir()}
-        assert written == files
-
     @pytest.mark.parametrize(
         "n_seeds, with_csv",
         [
@@ -1008,55 +1005,58 @@ class TestStreamedSimulate:
 
 
 class TestTrajectoryWriters:
-    """No trajectory CSV writer process outlives a simulate run, and a
-    writer's bytes are those of formatting every value with ``repr``."""
+    """A simulate run writes its trajectory CSVs itself, formatting every
+    value with ``repr``, and starts no process."""
 
     ARGV = ["simulate", "--model", "pow", "--br", "1", "--r_max", "1", "--n_nodes", "2",
             "--init", "explicit", "--init_powers", "1,2", "--seeds", "1,2,3"]
 
-    def test_repeated_records_match_repr(self, tmp_path):
-        a, b, c, d = [1.5, 0.25, 0.75], [2.0, 0.5, 0.5], [3.0, 0.1, 0.9], [1.0, 1 / 3, 2 / 3]
+    @pytest.mark.parametrize("chunk_floats", ["default", 3])
+    def test_repeated_records_match_repr(self, chunk_floats, tmp_path, monkeypatch):
+        # states that sum to 1 at delta 100: each record is the ratio 1.0
+        # and the state itself
+        a, b, c, d = [0.25, 0.25, 0.5], [0.5, 0.25, 0.25], [0.125, 0.375, 0.5], [0.75, 0.0, 0.25]
         # equal as floats, not as bytes
         zero, negative_zero = [0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]
-        long = 1 + trajectory_writer.CHUNK_FLOATS // 3  # more steps than one chunk
+        if chunk_floats != "default":
+            # below one record of 4 floats: one record per slice
+            monkeypatch.setattr(cli, "CHUNK_FLOATS", chunk_floats)
+        long = 1 + cli.CHUNK_FLOATS // 4  # more steps than one slice
         blocks = [
-            # (file 0, file 1) records of each step: repeats inside a block,
-            # across blocks and chunks, and in one file while the other moves
-            [(a, c), (a, d), (b, d), (zero, d)],
-            [(negative_zero, d), (negative_zero, c), (b, c)],
+            # (file 0, file 1) states of each step: repeats inside a block,
+            # across a slice boundary, and in one file while the other moves
+            [(a, c)],
+            [(a, c), (a, d), (b, d), (zero, d), (negative_zero, d), (negative_zero, c), (b, c)],
             [(b, c)] * (long - 10) + [(b, a)] * 10,
             [(zero, a)],
         ]
-        paths = [tmp_path / "one.csv", tmp_path / "two.csv"]
-        feed = b"".join(
-            trajectory_writer.HEAD.pack(len(block)) + np.array(block).tobytes()
-            for block in blocks
-        )
-        subprocess.run(
-            [sys.executable, "-I", trajectory_writer.__file__, "2", *map(str, paths)],
-            input=feed, check=True, timeout=60,
-        )
+        cfg = parse_config("simulate", overrides={
+            "model": "pow", "br": 1.0, "r_max": 1.0, "n_nodes": 3, "init": "explicit",
+            "init_powers": [1.0, 1.0, 1.0], "horizon": 1, "seeds": [1, 2], "delta": 100.0,
+        })
+        writer = cli._TrajectoryCsvWriter(tmp_path, cli.sim_config(cfg))
+        t0 = 0
+        for block in blocks:
+            writer.record(t0, np.array(block), None)
+            t0 += len(block)
         rows = [step for block in blocks for step in block]
-        for file, path in enumerate(paths):
-            expected = "step,ratio,beta_1,beta_2\r\n" + "".join(
-                f"{n},{','.join(repr(float(v)) for v in step[file])}\r\n"
+        for file in (0, 1):
+            expected = "step,ratio,beta_1,beta_2,beta_3\r\n" + "".join(
+                f"{n},1.0,{','.join(repr(float(v)) for v in step[file])}\r\n"
                 for n, step in enumerate(rows)
             )
-            assert path.read_bytes() == expected.encode()
-        assert b"\r\n4,-0.0,0.0,1.0\r\n" in paths[0].read_bytes()
+            assert (tmp_path / f"trajectory_{file + 1}.csv").read_bytes() == expected.encode()
+        written = (tmp_path / "trajectory_1.csv").read_bytes()
+        assert b"\r\n4,1.0,0.0,0.0,1.0\r\n5,1.0,-0.0,0.0,1.0\r\n" in written
 
     def test_clamped_case_repeats_records(self):
         # the byte-equality tests of TestStreamedSimulate reuse a record's
-        # text: its rows repeat the one before, also across a block boundary
+        # text: its rows repeat the one before
         case = TestStreamedSimulate.CASES["work-clamped-both-ways"]
         _, files, _ = reference_simulate(parse_config("simulate", overrides=case))
-        crossing = 0
         for body in files.values():
             records = [row.split(b",", 1)[1] for row in body.splitlines()[1:]]
-            repeats = [t for t in range(1, len(records)) if records[t] == records[t - 1]]
-            assert repeats
-            crossing += dynamics.RECORD_BLOCK + 1 in repeats
-        assert crossing
+            assert any(records[t] == records[t - 1] for t in range(1, len(records)))
 
     def test_none_outlives_a_run(self, tmp_path, monkeypatch, capfd):
         started = []
@@ -1067,10 +1067,9 @@ class TestTrajectoryWriters:
                 started.append(self)
 
         monkeypatch.setattr(subprocess, "Popen", SpyPopen)
-        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         (tmp_path / "file").write_text("", encoding="utf-8")
-        # the writer of trajectory_2.csv cannot open it; files 1 and 3 go
-        # to the other writer
+        # trajectory_2.csv cannot be opened; trajectory_1.csv was written
+        # before it
         (tmp_path / "blocked" / "trajectory_2.csv").mkdir(parents=True)
         codes = [
             main(self.ARGV + ["--horizon", "600", "--trajectories_dir", str(tmp_path / name)])
@@ -1078,21 +1077,17 @@ class TestTrajectoryWriters:
         ]
         err = capfd.readouterr().err
         assert codes == [0, 2, 2]
-        # the run under a regular file stops before any writer starts
-        assert len(started) == 4
-        assert all(process.returncode is not None for process in started)
+        assert started == []
         assert "Traceback" not in err
-        assert "IsADirectoryError: " in err
-        assert err.endswith(
-            "OSError: the trajectory CSV writer of trajectory_2.csv exited with code 1\n"
-        )
+        assert err.splitlines()[-1].startswith("IsADirectoryError: ")
+        assert err.splitlines()[-1].endswith(f"'{tmp_path / 'blocked' / 'trajectory_2.csv'}'")
         assert [len(path.read_bytes().splitlines()) for path in
                 sorted((tmp_path / "written").iterdir())] == [602] * 3
 
     @pytest.mark.skipif(sys.platform == "win32", reason="sets RLIMIT_NOFILE")
     def test_more_files_than_descriptors(self, tmp_path):
-        # one writer holds every file, under a descriptor limit below the
-        # file count: it opens them one at a time
+        # a descriptor limit below the file count: the run opens the files
+        # one at a time
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "model": "pow", "br": 1.0, "r_max": 1.0, "n_nodes": 2, "init": "explicit",
@@ -1104,7 +1099,7 @@ class TestTrajectoryWriters:
             "import resource, sys; from decentsim import cli; "
             "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]; "
             "resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard)); "
-            "cli.usable_cpus = lambda: 1; sys.exit(cli.main(sys.argv[1:]))"
+            "sys.exit(cli.main(sys.argv[1:]))"
         )
         subprocess.run(
             [sys.executable, "-c", script, "simulate", "--config", str(config)], check=True,
@@ -1112,52 +1107,6 @@ class TestTrajectoryWriters:
         )
         written = {path.name: path.read_bytes() for path in (tmp_path / "trajs").iterdir()}
         assert written == files
-
-    @pytest.mark.skipif(not Path("/proc/self/cmdline").exists(),
-                        reason="lists processes through /proc")
-    @pytest.mark.parametrize("stop", [signal.SIGKILL, signal.SIGINT], ids=["kill", "interrupt"])
-    def test_none_outlives_a_stopped_run(self, stop, tmp_path):
-        # blocks of 1 MB per writer, more than a pipe holds, so that the
-        # signal most likely lands while a block is half sent
-        out_dir = tmp_path / "trajs"
-        process = subprocess.Popen(
-            [sys.executable, "-m", "decentsim.cli", "simulate", "--model", "pow", "--br", "1",
-             "--r_max", "1", "--n_nodes", "50", "--init", "power-law", "--horizon", "1000000",
-             "--seeds", ",".join(map(str, range(1, 21))), "--trajectories_dir", str(out_dir)],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        )
-
-        def writers():
-            """Running processes other than the CLI that name its output."""
-            found = []
-            for entry in Path("/proc").iterdir():
-                with contextlib.suppress(OSError):
-                    if entry.name.isdigit() and entry.name != str(process.pid) and str(
-                        out_dir
-                    ).encode() in (entry / "cmdline").read_bytes():
-                        found.append(entry.name)
-            return found
-
-        first = out_dir / "trajectory_1.csv"
-        deadline = time.monotonic() + 60
-        try:
-            # stopped once every writer is running and has written rows
-            while (len(writers()) < min(bound.usable_cpus(), 20) or not first.exists()
-                   or first.stat().st_size < 2**16) and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            process.send_signal(stop)
-        _, err = process.communicate(timeout=60)
-        assert process.returncode == -stop
-        assert time.monotonic() < deadline
-        if stop == signal.SIGINT:
-            # the CLI's own interrupt, not a writer's error
-            assert err.decode().endswith("KeyboardInterrupt\n")
-            assert b"OSError" not in err and b"EOFError" not in err
-        while writers() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert writers() == []
 
 
 class TestOutputDirEnv:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -523,3 +524,75 @@ class TestSummarize:
         # keeping one value per seed and step would add 16384 steps
         # * 8 seeds * 8 bytes to the longer run's peak
         assert long - short < 262144
+
+
+def chi_square_sf(x, df):
+    """P(X >= x) for X chi-square with df degrees of freedom, in closed form:
+    a Poisson tail for even df, erfc and a finite series for odd df."""
+    if df % 2 == 0:
+        term = total = math.exp(-x / 2)
+        for j in range(1, df // 2):
+            term *= x / (2 * j)
+            total += term
+        return total
+    total = math.erfc(math.sqrt(x / 2))
+    term = math.sqrt(2 * x / math.pi) * math.exp(-x / 2)
+    for j in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2 * j + 1)
+    return total
+
+
+def dirichlet_multinomial_pmf(counts, alpha):
+    """P(counts) under Dirichlet-multinomial(sum(counts); alpha)."""
+    n, total = sum(counts), sum(alpha)
+    log_p = math.lgamma(n + 1) + math.lgamma(total) - math.lgamma(n + total)
+    for x, a in zip(counts, alpha):
+        log_p += math.lgamma(x + a) - math.lgamma(a) - math.lgamma(x + 1)
+    return math.exp(log_p)
+
+
+class TestPolyaUrnLaw:
+    """At weight exponent 1 with a constant increment the lottery is a Pólya
+    urn, so a seed's win counts over H steps are exactly
+    Dirichlet-multinomial(H; p_0 / increment) (Eggenberger and Pólya, 1923):
+    a test of the law the kernel draws, not of its agreement with ``step``."""
+
+    INIT = (1.0, 2.0, 3.0)
+    HORIZON = 30
+    SEEDS = tuple(range(20_000))
+    # fixed before any run; a 5% change of the weight exponent gives p
+    # far below it
+    SIGNIFICANCE = 1e-3
+
+    def test_chi_square_sf(self):
+        # chi-square medians (df 1, 2, 3) and the 0.1% point at df 10
+        for x, df, p in [(0.454936, 1, 0.5), (2 * math.log(2), 2, 0.5), (2.365974, 3, 0.5),
+                         (29.5883, 10, 1e-3)]:
+            assert chi_square_sf(x, df) == pytest.approx(p, rel=1e-5)
+
+    @pytest.mark.parametrize("model, r_max, increment", [
+        (PoS(b_r=1.5, c=0.5), 1.0, 1.0),
+        (GammaReward(b_r=2.0, gamma=1.0), 2.0, 2.0),
+    ], ids=["pos", "gamma-1"])
+    def test_win_counts(self, model, r_max, increment):
+        config = SimConfig(
+            model=model, reward=RewardParams(r=1.0, r_max=r_max), horizon=self.HORIZON,
+            n_nodes=3, init=ExplicitInit(self.INIT), seeds=self.SEEDS,
+        )
+        wins = (run_seeds(config, []) - self.INIT) / increment
+        counts = np.rint(wins).astype(int)
+        assert np.array_equal(counts, wins) and np.all(counts.sum(axis=1) == self.HORIZON)
+        observed = Counter(map(tuple, counts.tolist()))
+        alpha = [p / increment for p in self.INIT]
+        cells = [(i, j, self.HORIZON - i - j)
+                 for i in range(self.HORIZON + 1) for j in range(self.HORIZON + 1 - i)]
+        expected = {cell: len(self.SEEDS) * dirichlet_multinomial_pmf(cell, alpha)
+                    for cell in cells}
+        # cells expected fewer than 5 times are pooled into one
+        rare = [cell for cell in cells if expected[cell] < 5]
+        bins = [(observed[cell], expected[cell]) for cell in cells if expected[cell] >= 5]
+        bins.append((sum(observed[cell] for cell in rare), sum(expected[cell] for cell in rare)))
+        assert bins[-1][1] >= 5
+        statistic = sum((o - e) ** 2 / e for o, e in bins)
+        assert chi_square_sf(statistic, len(bins) - 1) > self.SIGNIFICANCE
