@@ -931,6 +931,7 @@ class TestStreamedSimulate:
         },
         "one-seed-csv": dict(GAMMA5, horizon=700, seeds=[4], trajectories_dir="trajs"),
     }
+    CSV_CASES = sorted(name for name, case in CASES.items() if case.get("trajectories_dir"))
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -969,6 +970,19 @@ class TestStreamedSimulate:
                 assert json.dumps(again) == json.dumps(results["monotonicity"])
             assert_slope_stats_exact(results.pop("monotonicity"), trajectories)
         assert json.dumps(results, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("chunk_floats", [1, 64])
+    @pytest.mark.parametrize("case", CSV_CASES)
+    def test_csv_bytes_do_not_depend_on_slices(self, case, chunk_floats, reference, tmp_path,
+                                               monkeypatch):
+        _, files, _ = reference(case)
+        monkeypatch.setenv("DECENTSIM_OUT", str(tmp_path))
+        # one record per slice, or a few records per slice: a repeated
+        # record keeps its text across a slice boundary
+        monkeypatch.setattr(cli, "CHUNK_FLOATS", chunk_floats)
+        run(parse_config("simulate", overrides=self.CASES[case]))
+        written = {path.name: path.read_bytes() for path in (tmp_path / "trajs").iterdir()}
+        assert written == files
 
     @pytest.mark.parametrize(
         "n_seeds, with_csv",
