@@ -26,6 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .core import check_float_sized
 from .errors import BudgetError, DomainError
 
 CHUNK_SIZE = 1_000_000
@@ -83,6 +84,7 @@ class WalkParams:
             raise DomainError("u must be > 0")
         if self.k_max < 1:
             raise DomainError("k_max must be >= 1")
+        check_float_sized(k_max=self.k_max, n_jump=self.n_jump)
         if not math.isfinite(1.0 + self.k_max * self.rho):
             raise DomainError(
                 f"the rich power 1 + k_max*rho leaves the float range: "
@@ -409,6 +411,9 @@ def _max_step_lines(params: WalkParams) -> tuple[np.ndarray, np.ndarray]:
     """
     one_eps, f, rho = 1.0 + params.epsilon, params.f, params.rho
     a_last = 1.0 + params.k_max * rho
+    if not math.isfinite(2.0 * a_last):  # every line's a + b, as b < a there
+        raise DomainError(f"the max-step sum a + b < 2*(1 + k_max*rho) leaves the float range: "
+                          f"rho = {rho!r}, k_max = {params.k_max}")
     # in floats: at a fine rho the width is far past any array size
     width = (a_last / one_eps - f) / rho
     _check_dp_size(params, "(k_max+1)*N", (params.k_max + 1) * width, width)

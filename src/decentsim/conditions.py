@@ -22,7 +22,7 @@ from functools import cache
 from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
-from .core import PlayerMap, PowerVector, effective_powers, percentile_power
+from .core import PlayerMap, PowerVector, check_float_sized, effective_powers, percentile_power
 from .errors import DomainError, SearchBoundError
 from .incentives import (IncentiveModel, Scorer, SybilCostModel, parts_scorer, realized_utility,
                          sybil_cost, utility)
@@ -143,6 +143,7 @@ def _check_search_size(what: str, grid: int, searches: Iterable[int]) -> int:
     """Refuse, once past MAX_ALLOCATIONS, searches of grid splits into the given
     part counts, each counted by walking (once, up to one past the bound) the
     compositions ``grid_allocations`` scales; else return the count."""
+    check_float_sized(grid=grid)
     size = cache(lambda t: sum(1 for _ in islice(_compositions(grid, t, 1), MAX_ALLOCATIONS + 1)))
     for count in accumulate(map(size, searches), initial=0):
         if count > MAX_ALLOCATIONS:

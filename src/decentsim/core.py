@@ -11,6 +11,7 @@ at most 1 + epsilon.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -116,6 +117,13 @@ def effective_powers(pv: PowerVector, pm: PlayerMap) -> dict[str, float]:
     for owner, power in zip(pm.owners, pv.powers):
         grouped.setdefault(owner, []).append(power)
     return {owner: math.fsum(parts) for owner, parts in grouped.items()}
+
+
+def check_float_sized(**values: int) -> None:
+    """Refuse, naming its key, an integer float arithmetic cannot convert."""
+    for name, value in values.items():
+        if value > sys.float_info.max:
+            raise DomainError(f"{name} must be at most the largest float, {sys.float_info.max!r}")
 
 
 def nearest_rank_index(n: int, delta: float) -> int:

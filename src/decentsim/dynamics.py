@@ -18,7 +18,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .core import PowerVector, RewardParams, nearest_rank_index
+from .core import PowerVector, RewardParams, check_float_sized, nearest_rank_index
 from .errors import BudgetError, DomainError, UnsupportedModelError
 from .incentives import IncentiveModel, lottery_weights
 
@@ -71,6 +71,7 @@ class TwoPointInit:
             raise DomainError("two-point init needs at least one node per level")
 
     def initial_powers(self, n_nodes: int) -> np.ndarray:
+        _check_count(self, self.count_rich + self.count_poor, n_nodes)  # before allocating
         return np.concatenate([np.ones(self.count_rich), np.full(self.count_poor, self.f)])
 
 
@@ -82,15 +83,17 @@ def build_initial_powers(init: InitSpec, n_nodes: int) -> np.ndarray:
     """The initial powers of ``n_nodes`` nodes; each init spec's
     ``initial_powers`` builds them, and the checks here are shared."""
     powers = init.initial_powers(n_nodes)
-    if powers.size != n_nodes:
-        raise DomainError(
-            f"{type(init).__name__} gives {powers.size} powers but n_nodes is {n_nodes}"
-        )
+    _check_count(init, powers.size, n_nodes)
     if not np.all(np.isfinite(powers)):
         raise DomainError("initial powers must be finite")
     if np.any(powers <= 0):
         raise DomainError("all initial powers must be strictly positive")
     return powers
+
+
+def _check_count(init: InitSpec, count: int, n_nodes: int) -> None:
+    if count != n_nodes:
+        raise DomainError(f"{type(init).__name__} gives {count} powers but n_nodes is {n_nodes}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,7 @@ class SimConfig:
             raise DomainError("horizon must be >= 0")
         if self.n_nodes < 1:
             raise DomainError("n_nodes must be >= 1")
+        check_float_sized(horizon=self.horizon, n_nodes=self.n_nodes)
         if not self.seeds:
             raise DomainError("at least one seed is required")
         if any(s < 0 for s in self.seeds):
@@ -176,7 +180,7 @@ def step(
         raise DomainError("every stake must be >= s_b to run the lottery")
     cum = np.add.accumulate(lottery_weights(model, powers))
     winner = int((cum <= rng.random() * cum[-1]).sum())
-    net = np.asarray(model.net_reward(powers[winner:winner + 1], powers[None])).item(0)
+    net = model.net_reward(powers[winner])
     powers[winner] += reward.r * min(max(net, 0.0), reward.r_max)
     return PowerVector(tuple(powers))
 
@@ -185,7 +189,7 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
     """What stays constant through a run over ``state``: the weight exponent
     and the winner's increment r · clamp(net reward, 0, r_max) as a function
     of the winners' indices into the flattened state, one float where the
-    net reward depends on neither.  Powers never shrink and grow by at most
+    net reward is free of power.  Powers never shrink and grow by at most
     the largest increment per step, so a run whose weights could overflow,
     or whose largest starts below the smallest normal float, is refused
     here: its lottery would have no winner, as u · total can round up to a
@@ -193,7 +197,7 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
     model, reward = config.model, config.reward
     if bool(np.any(state < model.s_b)):
         raise DomainError("every stake must be >= s_b to run the lottery")
-    largest = min(max(model.max_net_reward(), 0.0), reward.r_max)
+    largest = min(max(model.net_reward(0.0), 0.0), reward.r_max)
     exponent = model.weight_exponent()
     low = float(state.max())
     high = low + config.horizon * (reward.r * largest)
@@ -211,9 +215,9 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
             f"power ratios leave the float range: powers run from {least!r} up to {high!r}"
         )
     # a winner's power stays in [least, high]: a net reward monotone in it is
-    # finite if it is at both ends, and one float if free of power and state
+    # finite if it is at both ends, and one float if free of power
     with np.errstate(over="ignore"):
-        net = model.net_reward(np.array([least, high]), state[:0])
+        net = model.net_reward(np.array([least, high]))
     if not np.all(np.isfinite(net)):
         raise DomainError(f"net rewards leave the float range: powers run from {least!r} "
                           f"up to {high!r}")
@@ -223,7 +227,7 @@ def _lottery(config: SimConfig, state: np.ndarray) -> tuple[float, Callable]:
         return exponent, lambda index: fixed
 
     def increment(index):
-        net = model.net_reward(flat[index], state)
+        net = model.net_reward(flat[index])
         return reward.r * np.minimum(np.maximum(net, 0.0), reward.r_max)
 
     return exponent, increment

@@ -46,20 +46,14 @@ class _Model:
 class _Lottery(_Model):
     """One block winner per time unit, drawn with probability
     weight / sum(weights), weights = powers ** weight_exponent().
-    ``net_reward(powers, state)`` is the net reward of winners of the given
-    powers, one per row of the (seeds, nodes) ``state``, and one float where
-    it depends on neither; ``max_net_reward()`` is its largest value."""
+    ``net_reward(powers)`` is the net reward of winners of the given powers,
+    an array or one float, and one float where it does not depend on power.
+    It is non-increasing in power, so a winner of power 0 earns the most."""
 
     LOTTERY = True
 
     def weight_exponent(self) -> float:
         return 1.0
-
-    def block_reward(self, total_power: float) -> float:
-        return self.b_r
-
-    def net_reward(self, powers: np.ndarray, state: np.ndarray):
-        return self.max_net_reward()
 
 
 @dataclass(frozen=True)
@@ -79,11 +73,8 @@ class PoW(_Lottery):
     def node_utility(self, index: int, powers: tuple[float, ...], total: float, aggregate) -> float:
         return self.b_r * powers[index] / total - self.c1 * powers[index] - self.c2
 
-    def net_reward(self, powers: np.ndarray, state: np.ndarray) -> np.ndarray:
+    def net_reward(self, powers: np.ndarray | float) -> np.ndarray | float:
         return self.b_r - self.c1 * powers - self.c2
-
-    def max_net_reward(self) -> float:
-        return self.b_r - self.c2
 
 
 @dataclass(frozen=True)
@@ -102,7 +93,7 @@ class PoS(_Lottery):
     def node_utility(self, index: int, powers: tuple[float, ...], total: float, aggregate) -> float:
         return self.b_r * powers[index] / total - self.c
 
-    def max_net_reward(self) -> float:
+    def net_reward(self, powers: np.ndarray | float) -> float:
         return self.b_r - self.c
 
 
@@ -136,29 +127,22 @@ class DPoS(_Model):
 @dataclass(frozen=True)
 class GammaReward(_Lottery):
     """Lottery weighted by power**gamma; gamma=0.5 rewards the square root
-    of power, gamma=1 is proportional.
-
-    b_r_fn, when given, replaces the constant block reward with a function
-    of total power (seesaw-style schedules).  Costs are zero.
+    of power, gamma=1 is proportional.  Costs are zero.
     """
 
     b_r: float
     gamma: float
-    b_r_fn: Callable[[float], float] | None = None
 
     KEYS = {"br": "b_r", "gamma": "gamma"}
 
     def __post_init__(self) -> None:
         _check_nonneg(b_r=self.b_r, gamma=self.gamma)
 
-    def block_reward(self, total_power: float) -> float:
-        return self.b_r if self.b_r_fn is None else float(self.b_r_fn(total_power))
-
     def node_utility(self, index: int, powers: tuple[float, ...], total: float,
                      weight_sum: float) -> float:
         if weight_sum == 0:  # every power**gamma underflows
             raise DomainError(f"utility of node {index} is undefined: lottery weight sum is 0")
-        return self.block_reward(total) * powers[index]**self.gamma / weight_sum
+        return self.b_r * powers[index]**self.gamma / weight_sum
 
     def aggregate(self, powers: tuple[float, ...]) -> float:
         """The lottery weights' sum."""
@@ -167,13 +151,8 @@ class GammaReward(_Lottery):
     def weight_exponent(self) -> float:
         return self.gamma
 
-    def net_reward(self, powers: np.ndarray, state: np.ndarray):
-        if self.b_r_fn is None:
-            return self.b_r
-        return np.array([self.block_reward(total) for total in state.sum(axis=1)])
-
-    def max_net_reward(self) -> float:
-        return self.b_r if self.b_r_fn is None else math.inf
+    def net_reward(self, powers: np.ndarray | float) -> float:
+        return self.b_r
 
 
 @dataclass(frozen=True)
@@ -306,8 +285,8 @@ def lottery_weights(model: IncentiveModel, powers: np.ndarray) -> np.ndarray:
 
 
 def block_reward(model: IncentiveModel, total_power: float) -> float:
-    """Block reward of a lottery model at the given total power."""
-    return model.block_reward(total_power)
+    """Block reward of a lottery model, the constant b_r at any total power."""
+    return model.b_r
 
 
 @dataclass(frozen=True)

@@ -376,6 +376,20 @@ class TestBoundCommand:
         assert err == ("DomainError: the rich power 1 + k_max*rho leaves the float range: "
                        "rho = 1e+308, k_max = 10\n")
 
+    def test_max_step_sum_overflow_exit_code(self, capsys):
+        # 2 * (1 + 10 * rho) is finite up to rho = max / 20: a + b stays
+        # finite there and is refused past it, before any array is built
+        argv = ["bound", "--strategy", "max-step", "--f", "0.5", "--k_max", "10", "--rho"]
+        edge = sys.float_info.max / 20
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["1e307"]) == 3
+            err = capsys.readouterr().err
+            assert main(argv + [repr(edge)]) == 0
+        assert err == ("DomainError: the max-step sum a + b < 2*(1 + k_max*rho) leaves the "
+                       "float range: rho = 1e+307, k_max = 10\n")
+        assert main(argv + [repr(math.nextafter(edge, math.inf))]) == 3
+
     def test_config_error_exit_code(self, capsys):
         code = main(["bound", "--rho", "0.1"])
         assert code == 2
@@ -565,6 +579,18 @@ class TestSimulateCommand:
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "trajs").exists()
 
+    def test_two_point_count_checked_before_allocation(self, capsys):
+        # 10**15 + 1 powers would take 8 PB
+        started = time.perf_counter()
+        code = main(["simulate", "--model", "gamma", "--br", "3", "--r_max", "3",
+                     "--horizon", "5", "--n_nodes", "3", "--init", "two-point",
+                     "--init_count_rich", str(10**15)])
+        assert time.perf_counter() - started < 0.5
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "DomainError: TwoPointInit gives 1000000000000001 powers but n_nodes is 3\n"
+        )
+
     def test_initial_power_overflow_exit_code(self, capsys):
         # 10 ** 400 leaves the float range
         with warnings.catch_warnings(record=True) as caught:
@@ -579,6 +605,30 @@ class TestSimulateCommand:
         assert "DomainError: initial powers must be finite" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+GIANT = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--f", "0.5", "--rho", "0.1", "--k_max", GIANT],
+    ["bound", "--f", "0.5", "--rho", "0.1", "--strategy", "hybrid", "--n_jump", GIANT],
+    ["simulate", "--model", "gamma", "--br", "3", "--r_max", "3", "--n_nodes", "2",
+     "--init", "explicit", "--init_powers", "4,1", "--horizon", GIANT],
+    ["simulate", "--model", "gamma", "--br", "3", "--r_max", "3", "--horizon", "5",
+     "--init", "power-law", "--n_nodes", GIANT],
+    # m = 2: the merge of both nodes into one counts, and divides by the grid
+    ["check", "--model", "pow", "--br", "1", "--powers", "1,2", "--m", "2", "--grid", GIANT],
+], ids=["k_max", "n_jump", "horizon", "n_nodes", "grid"])
+def test_giant_integer_names_its_key(argv, capsys):
+    # a 401-digit integer is exact in the config but past the float range
+    key = argv[-2].removeprefix("--")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"DomainError: {key} must be at most the largest float, {sys.float_info.max!r}\n"
+    )
 
 
 SANE = st.one_of(st.floats(1e-3, 20.0), st.sampled_from((0.0, 1.0, 3.0)))

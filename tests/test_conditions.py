@@ -526,10 +526,6 @@ def brute_check_ns(model, sybil, pv, pm, delta, grid, max_parts):
     return SearchResult(holds=best is None, witness=best)
 
 
-def seesaw_reward(total):
-    return 6.0 / (1.0 + total)
-
-
 ORACLE_MODELS = ("pow", "pos", "dpos", "gamma", "linear")
 ORACLE_SYBILS = (ZeroSybilCost(), ThresholdCoverSybilCost(0.0), ThresholdCoverSybilCost(0.3))
 
@@ -537,8 +533,8 @@ ORACLE_SYBILS = (ZeroSybilCost(), ThresholdCoverSybilCost(0.0), ThresholdCoverSy
 def oracle_case(name, rep):
     """One seeded check input per (model, repetition): DPoS on tied powers
     with few producers or with n to 2n (so that many splits tie), PoS with
-    stakes below s_b, gamma with a total-dependent reward, shared
-    owners on odd repetitions, m from 1 to n + 1, delta from {0, 50, 100}."""
+    stakes below s_b, shared owners on odd repetitions, m from 1 to n + 1,
+    delta from {0, 50, 100}."""
     rng = random.Random(f"{name}/{rep}")
     n = rng.randint(2, 5)
     if name == "dpos":
@@ -549,9 +545,7 @@ def oracle_case(name, rep):
         "pow": PoW(12.5, rng.choice((0.0, 0.3)), rng.choice((0.0, 1.0))),
         "pos": PoS(10.0, 1.0, s_b=sorted(powers)[n // 2]),
         "dpos": DPoS(5.0, 1.0, n_dpos=rng.randint(1, 3) if rep < 4 else rng.randint(n, 2 * n)),
-        "gamma": GammaReward(
-            3.0, rng.choice((0.3, 0.5, 1.5)), b_r_fn=seesaw_reward if rep % 2 else None
-        ),
+        "gamma": GammaReward(3.0, rng.choice((0.3, 0.5, 1.5))),
         "linear": Linear(rng.choice(Linear.KINDS), 2.0),
     }[name]
     owners = tuple(
@@ -586,7 +580,7 @@ PERMUTATION_MODELS = (
     PoW(12.5, 0.1, 1.0),
     PoS(10.0, 1.0, s_b=1.5),
     DPoS(5.0, 1.0, n_dpos=2),
-    GammaReward(3.0, 0.5, b_r_fn=seesaw_reward),
+    GammaReward(3.0, 0.5),
     Linear("inverse-total", 3.0),
 )
 # tied powers make DPoS elections break ties by index

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -434,15 +435,6 @@ class TestSummarize:
             epsilon=1.0,
             delta=20.0,
         ),
-        "reward-schedule": dict(
-            model=GammaReward(0.0, 0.5, b_r_fn=lambda total: 30.0 / total),
-            reward=RewardParams(1.0, 2.0),
-            n_nodes=10,
-            init=PowerLawInit(1.0),
-            horizon=200,
-            seeds=(0, 3),
-            epsilon=1.0,
-        ),
     }
 
     @pytest.mark.parametrize("block", ["default", 1, 7])
@@ -558,7 +550,6 @@ class TestPolyaUrnLaw:
     Dirichlet-multinomial(H; p_0 / increment) (Eggenberger and Pólya, 1923):
     a test of the law the kernel draws, not of its agreement with ``step``."""
 
-    INIT = (1.0, 2.0, 3.0)
     HORIZON = 30
     SEEDS = tuple(range(20_000))
     # fixed before any run; a 5% change of the weight exponent gives p
@@ -571,28 +562,33 @@ class TestPolyaUrnLaw:
                          (29.5883, 10, 1e-3)]:
             assert chi_square_sf(x, df) == pytest.approx(p, rel=1e-5)
 
-    @pytest.mark.parametrize("model, r_max, increment", [
-        (PoS(b_r=1.5, c=0.5), 1.0, 1.0),
-        (GammaReward(b_r=2.0, gamma=1.0), 2.0, 2.0),
-    ], ids=["pos", "gamma-1"])
-    def test_win_counts(self, model, r_max, increment):
+    @pytest.mark.parametrize("model, r_max, increment, init", [
+        (PoS(b_r=1.5, c=0.5), 1.0, 1.0, (1.0, 2.0, 3.0)),
+        (GammaReward(b_r=2.0, gamma=1.0), 2.0, 2.0, (1.0, 2.0, 3.0)),
+        (PoS(b_r=1.5, c=0.5), 1.0, 1.0, (1.0, 2.0)),
+        (GammaReward(b_r=2.0, gamma=1.0), 2.0, 2.0, (1.0, 2.0, 3.0, 4.0)),
+    ], ids=["pos", "gamma-1", "pos-2-nodes", "gamma-1-4-nodes"])
+    def test_win_counts(self, model, r_max, increment, init):
         config = SimConfig(
             model=model, reward=RewardParams(r=1.0, r_max=r_max), horizon=self.HORIZON,
-            n_nodes=3, init=ExplicitInit(self.INIT), seeds=self.SEEDS,
+            n_nodes=len(init), init=ExplicitInit(init), seeds=self.SEEDS,
         )
-        wins = (run_seeds(config, []) - self.INIT) / increment
+        wins = (run_seeds(config, []) - init) / increment
         counts = np.rint(wins).astype(int)
         assert np.array_equal(counts, wins) and np.all(counts.sum(axis=1) == self.HORIZON)
         observed = Counter(map(tuple, counts.tolist()))
-        alpha = [p / increment for p in self.INIT]
-        cells = [(i, j, self.HORIZON - i - j)
-                 for i in range(self.HORIZON + 1) for j in range(self.HORIZON + 1 - i)]
+        alpha = [p / increment for p in init]
+        # every way to split the horizon's wins among the nodes
+        cells = [(*head, self.HORIZON - sum(head))
+                 for head in product(range(self.HORIZON + 1), repeat=len(init) - 1)
+                 if sum(head) <= self.HORIZON]
         expected = {cell: len(self.SEEDS) * dirichlet_multinomial_pmf(cell, alpha)
                     for cell in cells}
-        # cells expected fewer than 5 times are pooled into one
+        # cells expected fewer than 5 times, if any, are pooled into one
         rare = [cell for cell in cells if expected[cell] < 5]
         bins = [(observed[cell], expected[cell]) for cell in cells if expected[cell] >= 5]
-        bins.append((sum(observed[cell] for cell in rare), sum(expected[cell] for cell in rare)))
-        assert bins[-1][1] >= 5
+        if rare:
+            bins.append((sum(observed[c] for c in rare), sum(expected[c] for c in rare)))
+            assert bins[-1][1] >= 5
         statistic = sum((o - e) ** 2 / e for o, e in bins)
         assert chi_square_sf(statistic, len(bins) - 1) > self.SIGNIFICANCE

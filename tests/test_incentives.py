@@ -61,10 +61,6 @@ class TestUtility:
     def test_linear_inverse_total(self):
         assert utility(Linear("inverse-total", 2.0), 0, PowerVector((3, 1))) == pytest.approx(1.5)
 
-    def test_gamma_reward_schedule(self):
-        seesaw = GammaReward(3, 1.0, b_r_fn=lambda total: 12.0 / total)
-        assert utility(seesaw, 0, PowerVector((1, 3))) == pytest.approx(3.0 * 0.25)
-
     def test_index_out_of_range(self):
         with pytest.raises(DomainError):
             utility(PoW(1), 2, PowerVector((1, 1)))
@@ -193,8 +189,23 @@ class TestLotteryDraws:
             assert abs(rewards.mean() - utility(model, i, pv)) <= 4 * se
 
 
-def seesaw_reward(total):
-    return 6.0 / (1.0 + total)
+PARAM = st.floats(0.0, 1e6)
+
+
+class TestNetReward:
+    """The simulator bounds every increment by a power-0 winner's net
+    reward, which holds because net reward never grows with power."""
+
+    @given(b_r=PARAM, c1=PARAM, c2=PARAM, c=PARAM, gamma=st.floats(0.0, 3.0),
+           powers=st.lists(PARAM, min_size=1, max_size=4))
+    def test_non_increasing_and_largest_at_zero(self, b_r, c1, c2, c, gamma, powers):
+        for model, largest in [(PoW(b_r, c1, c2), b_r - c2), (PoS(b_r, c), b_r - c),
+                               (GammaReward(b_r, gamma), b_r)]:
+            assert float(model.net_reward(0.0)).hex() == largest.hex()
+            rewards = [float(model.net_reward(p)) for p in [0.0, *sorted(powers)]]
+            assert all(b <= a for a, b in zip(rewards, rewards[1:]))
+            vector = model.net_reward(np.array(sorted(powers)))
+            assert np.array_equal(np.broadcast_to(vector, len(powers)), rewards[1:])
 
 
 def outcome(call):
@@ -219,7 +230,7 @@ SCORER_MODELS = (
     DPoS(5.0, 0.0, n_dpos=2),
     DPoS(5.0, 1.0, n_dpos=3),
     GammaReward(3.0, 0.5),
-    GammaReward(3.0, 1.5, b_r_fn=seesaw_reward),
+    GammaReward(3.0, 1.5),
     GammaReward(3.0, 3.0),
     Linear("constant", 2.0),
     Linear("inverse-total", 2.0),
